@@ -245,8 +245,15 @@ def ann_from_dict(doc: dict) -> NeuralNetModel:
         raise
     except (KeyError, TypeError, ValueError) as e:
         raise ModelFormatError(str(e)) from None
+    if sizes[0] != 3 or sizes[-1] != 1 or min(sizes) < 1:
+        raise ModelFormatError(f"layer sizes {list(sizes)} do not run from 3 inputs to 1 output")
     if not all(np.all(np.isfinite(w)) for w in model.parameters()):
         raise ModelFormatError("non-finite parameter")
+    if scaler is not None and not (len(scaler.mins) == len(scaler.maxs) == 3
+                                   and np.all(np.isfinite(scaler.mins + scaler.maxs))):
+        raise ModelFormatError("scaler needs three finite mins and maxs")
+    if not 0.0 <= model.threshold <= 1.0:
+        raise ModelFormatError(f"threshold {model.threshold} is not a probability")
     return model
 
 

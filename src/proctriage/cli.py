@@ -15,25 +15,9 @@ import json
 import sys
 from pathlib import Path
 
-from .ann import (
-    ANN_SCHEMA_VERSION,
-    AnnConfig,
-    ann_from_dict,
-    ann_to_dict,
-    predict_ann,
-    train_ann,
-)
+from .ann import AnnConfig, ann_to_dict, train_ann
 from .datagen import GenConfig, generate_dataset
-from .dtree import (
-    TREE_SCHEMA_VERSION,
-    TreeConfig,
-    export_tree,
-    predict_proba,
-    predict_tree,
-    train_tree,
-    tree_from_dict,
-    tree_to_dict,
-)
+from .dtree import TreeConfig, export_tree, train_tree, tree_to_dict
 from .errors import MalformedDatasetFile, ModelFormatError, TriageError
 from .features import (
     Label,
@@ -47,7 +31,7 @@ from .features import (
 )
 from .metrics import evaluate_predictions, format_report, report_to_dict
 from .proclist import PS_UNIX, TASKLIST_TABULAR, parse_process_list
-from .service import VERDICT_DISPLAY, ServiceConfig, run_service
+from .service import Model, ServiceConfig, load_model, read_model_file, run_service, verdict_doc
 
 DEFAULT_SEED = 1337
 
@@ -69,38 +53,9 @@ def _write_json(path: str, doc) -> None:
     _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
-def _load_model(path: str):
-    """Read a model file, returning (kind, model) by schema version."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ModelFormatError(f"{path}: not valid JSON ({err})") from None
-    version = doc.get("version") if isinstance(doc, dict) else None
-    if version == TREE_SCHEMA_VERSION:
-        return "dtree", tree_from_dict(doc)
-    if version == ANN_SCHEMA_VERSION:
-        return "ann", ann_from_dict(doc)
-    raise ModelFormatError(f"{path}: unsupported model version {version!r}")
-
-
-def _model_outputs(kind: str, model, dataset):
-    preds, probs = [], []
-    for sample in dataset.samples:
-        if kind == "dtree":
-            preds.append(predict_tree(model, sample.features))
-            probs.append(predict_proba(model, sample.features))
-        else:
-            label, prob = predict_ann(model, sample.features)
-            preds.append(label)
-            probs.append(prob)
-    return preds, probs
-
-
-def _evaluate_on(kind: str, model, dataset):
-    preds, probs = _model_outputs(kind, model, dataset)
-    actual = [s.label for s in dataset.samples]
-    return evaluate_predictions(preds, actual, probs)
+def _evaluate_on(model: Model, dataset):
+    preds, probs = zip(*(model.predict(s.features) for s in dataset.samples))
+    return evaluate_predictions(list(preds), [s.label for s in dataset.samples], list(probs))
 
 
 # subcommand handlers
@@ -131,8 +86,7 @@ def _cmd_featurize(args) -> int:
                                strict=args.strict, source_id=args.infile)
     v = featurize(plist)
     if args.out:
-        _write_json(args.out, {"process_count": v.process_count,
-                               "user_count": v.user_count, "ratio": v.ratio})
+        _write_json(args.out, v.to_dict())
         return 0
     print(f"{v.process_count},{v.user_count},{v.ratio!r}")
     return 0
@@ -199,7 +153,7 @@ def _cmd_train(args) -> int:
         print(f"loss history -> {history_path}")
     _write_json(args.out, doc)
     print(f"model -> {args.out}")
-    report = _evaluate_on(args.model, model, test)
+    report = _evaluate_on(load_model(doc), test)
     print()
     print(format_report(report), end="")
     return 0
@@ -241,8 +195,7 @@ def _cmd_evaluate(args) -> int:
     else:
         if not (args.model_file and args.infile):
             raise MalformedDatasetFile(0, "need MODEL and --in DATASET, or --pred/--actual")
-        kind, model = _load_model(args.model_file)
-        report = _evaluate_on(kind, model, load_dataset(args.infile))
+        report = _evaluate_on(read_model_file(args.model_file), load_dataset(args.infile))
     if args.out:
         _write_json(args.out, report_to_dict(report))
         return 0
@@ -251,31 +204,24 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    kind, model = _load_model(args.model_file)
+    model = read_model_file(args.model_file)
     plist = parse_process_list(_read_text(args.infile), strict=args.strict,
                                source_id=args.infile)
     v = featurize(plist)
-    if kind == "dtree":
-        label, prob = predict_tree(model, v), predict_proba(model, v)
-    else:
-        label, prob = predict_ann(model, v)
+    doc = verdict_doc(model.predict(v), features=v.to_dict())
     if args.out:
-        _write_json(args.out, {"verdict": VERDICT_DISPLAY[label], "label": int(label),
-                               "probability": prob,
-                               "features": {"process_count": v.process_count,
-                                            "user_count": v.user_count,
-                                            "ratio": v.ratio}})
+        _write_json(args.out, doc)
         return 0
-    print(f"{VERDICT_DISPLAY[label]} p={prob:.4f} "
+    print(f"{doc['verdict']} p={doc['probability']:.4f} "
           f"features={v.process_count},{v.user_count},{v.ratio!r}")
     return 0
 
 
 def _cmd_export_tree(args) -> int:
-    kind, model = _load_model(args.model_file)
-    if kind != "dtree":
+    model = read_model_file(args.model_file)
+    if model.kind != "dtree":
         raise ModelFormatError("export-tree works on dtree-v1 models only")
-    text = export_tree(model, style=args.format)
+    text = export_tree(model.model, style=args.format)
     if args.out:
         _write_text(args.out, text)
         return 0

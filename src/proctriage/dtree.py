@@ -8,6 +8,7 @@ training is fully deterministic.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,6 +18,9 @@ from .errors import DatasetTooSmall, EmptyNode, ModelFormatError
 from .features import FEATURE_NAMES, FeatureVector, Label, LabeledDataset, LabeledSample
 
 TREE_SCHEMA_VERSION = "dtree-v1"
+# Deeper documents are refused: loading, saving and export recurse once
+# per level and must stay well inside the interpreter's recursion limit.
+MAX_TREE_DEPTH = 200
 
 
 @dataclass
@@ -248,20 +252,28 @@ def _node_to_dict(node: TreeNode) -> dict:
     return rec
 
 
-def _node_from_dict(rec: dict) -> TreeNode:
+def _node_from_dict(rec: dict, depth: int = 0) -> TreeNode:
+    if depth > MAX_TREE_DEPTH:
+        raise ModelFormatError(f"tree deeper than {MAX_TREE_DEPTH} levels")
     try:
         node = TreeNode(
             n_samples=int(rec["n_samples"]),
             class_counts=(int(rec["class_counts"][0]), int(rec["class_counts"][1])),
             impurity=float(rec["impurity"]),
         )
+        # predict_proba divides by a leaf's count total
+        if min(node.class_counts) < 0 or sum(node.class_counts) == 0:
+            raise ValueError(f"class counts {list(node.class_counts)}")
         if "label" in rec:
             node.label = Label(int(rec["label"]))
         else:
             node.feature_index = int(rec["feature_index"])
             node.threshold = float(rec["threshold"])
-            node.left = _node_from_dict(rec["left"])
-            node.right = _node_from_dict(rec["right"])
+            if not (0 <= node.feature_index < len(FEATURE_NAMES)
+                    and math.isfinite(node.threshold)):
+                raise ValueError(f"split on feature {node.feature_index} at {node.threshold}")
+            node.left = _node_from_dict(rec["left"], depth + 1)
+            node.right = _node_from_dict(rec["right"], depth + 1)
     except (KeyError, TypeError, ValueError) as e:
         raise ModelFormatError(f"bad tree node record: {e}") from None
     return node

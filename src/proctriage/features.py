@@ -47,6 +47,14 @@ class FeatureVector:
     def as_array(self) -> np.ndarray:
         return np.array([self.process_count, self.user_count, self.ratio], dtype=float)
 
+    def to_dict(self) -> dict:
+        """The feature triple as JSON-ready fields, in FEATURE_NAMES order."""
+        return {name: getattr(self, name) for name in FEATURE_NAMES}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "FeatureVector":
+        return cls(int(doc["process_count"]), int(doc["user_count"]), float(doc["ratio"]))
+
 
 @dataclass(frozen=True)
 class LabeledSample:

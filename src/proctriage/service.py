@@ -22,13 +22,20 @@ import re
 import threading
 import time
 import uuid
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
-from .ann import ANN_SCHEMA_VERSION, ann_from_dict, predict_ann
-from .dtree import TREE_SCHEMA_VERSION, predict_proba, predict_tree, tree_from_dict
+from .ann import ANN_SCHEMA_VERSION, NeuralNetModel, ann_from_dict, predict_ann
+from .dtree import (
+    TREE_SCHEMA_VERSION,
+    DecisionTreeModel,
+    predict_proba,
+    predict_tree,
+    tree_from_dict,
+)
 from .errors import ModelFormatError, TriageError
 from .features import (
     FeatureVector,
@@ -44,6 +51,67 @@ logger = logging.getLogger(__name__)
 
 MODEL_FILENAME = "model.json"
 VERDICT_DISPLAY = {Label.TARGET: "safe", Label.SANDBOX: "sandbox"}
+
+
+@dataclass(frozen=True)
+class Model:
+    """A validated model document of either schema behind one interface.
+
+    ``predict(features)`` returns (label, sandbox probability).
+    """
+
+    kind: str                                   # "dtree" or "ann"
+    model: DecisionTreeModel | NeuralNetModel
+    model_id: str                               # sha256 prefix of ``document``
+    document: str                               # canonical JSON, as persisted
+    predict: Callable[[FeatureVector], tuple[Label, float]] = field(repr=False)
+    details: dict = field(repr=False)
+
+    def info(self) -> dict:
+        """The schema version, then the fields that schema is described by."""
+        return dict(self.details)
+
+
+def load_model(doc) -> Model:
+    """Validate a model document; the one place that tells the schemas apart.
+
+    The predictors are looked up in this module at call time, so a
+    wrapper installed on ``predict_*`` here sees every prediction.
+    """
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version == TREE_SCHEMA_VERSION:
+        kind, model = "dtree", tree_from_dict(doc)
+        info = {"feature_names": list(model.feature_names), "n_samples": model.n_samples}
+        predict = lambda v: (predict_tree(model, v), predict_proba(model, v))  # noqa: E731
+    elif version == ANN_SCHEMA_VERSION:
+        kind, model = "ann", ann_from_dict(doc)
+        info = {"layer_sizes": list(model.layer_sizes)}
+        predict = lambda v: predict_ann(model, v)  # noqa: E731
+    else:
+        raise ModelFormatError(f"unsupported model version {version!r}")
+    document = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    model_id = hashlib.sha256(document.encode("utf-8")).hexdigest()[:16]
+    return Model(kind, model, model_id, document, predict, {"version": version, **info})
+
+
+def read_model_file(path: str | Path) -> Model:
+    """Load a model JSON file; text that is not JSON is a ModelFormatError too."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, RecursionError) as err:
+            raise ModelFormatError(f"{path}: not valid JSON ({err})") from None
+    return load_model(doc)
+
+
+def verdict_doc(predicted: tuple[Label, float] | None, **fields) -> dict:
+    """Response fields for a verdict: verdict, probability, ``fields``, then
+    label when a model scored the listing."""
+    doc = {"verdict": None, "probability": None, **fields}
+    if predicted is not None:
+        label, prob = predicted
+        doc.update(verdict=VERDICT_DISPLAY[label], probability=prob, label=int(label))
+    return doc
 
 
 @dataclass(frozen=True)
@@ -74,15 +142,11 @@ def record_to_dict(record: SampleRecord) -> dict:
         "id": record.id,
         "received_at": record.received_at,
         "raw_text": record.raw_text,
-        "features": None,
+        "features": None if record.features is None else record.features.to_dict(),
         "predicted": None,
         "human_label": None if record.human_label is None else int(record.human_label),
         "parse_warnings": record.parse_warnings,
     }
-    if record.features is not None:
-        f = record.features
-        doc["features"] = {"process_count": f.process_count,
-                           "user_count": f.user_count, "ratio": f.ratio}
     if record.predicted is not None:
         label, prob = record.predicted
         doc["predicted"] = {"label": int(label), "probability": prob}
@@ -90,23 +154,15 @@ def record_to_dict(record: SampleRecord) -> dict:
 
 
 def record_from_dict(doc: dict) -> SampleRecord:
-    features = None
-    if doc.get("features") is not None:
-        f = doc["features"]
-        features = FeatureVector(process_count=int(f["process_count"]),
-                                 user_count=int(f["user_count"]),
-                                 ratio=float(f["ratio"]))
-    predicted = None
-    if doc.get("predicted") is not None:
-        p = doc["predicted"]
-        predicted = (Label(int(p["label"])), float(p["probability"]))
+    features, predicted = doc.get("features"), doc.get("predicted")
     human_label = doc.get("human_label")
     return SampleRecord(
         id=str(doc["id"]),
         received_at=float(doc["received_at"]),
         raw_text=str(doc["raw_text"]),
-        features=features,
-        predicted=predicted,
+        features=None if features is None else FeatureVector.from_dict(features),
+        predicted=None if predicted is None else (Label(int(predicted["label"])),
+                                                  float(predicted["probability"])),
         human_label=None if human_label is None else Label(int(human_label)),
         parse_warnings=int(doc.get("parse_warnings", 0)),
     )
@@ -191,66 +247,42 @@ class Service:
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.store = SampleStore(self.data_dir / "samples")
         self._model_lock = threading.Lock()
-        self._active = None  # (kind, model, model_id, activated_at)
+        self._active: tuple[Model, float] | None = None  # (model, activated_at)
         persisted = self.data_dir / MODEL_FILENAME
         if config.model_path is not None:
-            with open(config.model_path, encoding="utf-8") as fh:
-                self.activate_model(json.load(fh))
+            self._install(read_model_file(config.model_path), persist=True)
         elif persisted.exists():
-            with open(persisted, encoding="utf-8") as fh:
-                self._install(json.load(fh), persist=False)
+            self._install(read_model_file(persisted), persist=False)
 
     # model management
 
-    def _install(self, doc: dict, persist: bool) -> dict:
-        version = doc.get("version") if isinstance(doc, dict) else None
-        if version == TREE_SCHEMA_VERSION:
-            kind, model = "dtree", tree_from_dict(doc)
-        elif version == ANN_SCHEMA_VERSION:
-            kind, model = "ann", ann_from_dict(doc)
-        else:
-            raise ModelFormatError(f"unsupported model version {version!r}")
-        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        model_id = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    def _install(self, model: Model, persist: bool) -> dict:
         if persist:
             tmp = self.data_dir / (MODEL_FILENAME + ".tmp")
-            tmp.write_text(blob + "\n", encoding="utf-8")
+            tmp.write_text(model.document + "\n", encoding="utf-8")
             os.replace(tmp, self.data_dir / MODEL_FILENAME)
         with self._model_lock:
-            self._active = (kind, model, model_id, time.time())
+            self._active = (model, time.time())
         return self.model_info()
 
     def activate_model(self, doc: dict) -> dict:
         """Validate, persist, and atomically swap in a model document."""
-        return self._install(doc, persist=True)
+        return self._install(load_model(doc), persist=True)
 
     def model_info(self) -> dict:
         with self._model_lock:
             active = self._active
         if active is None:
             return {"active": False}
-        kind, model, model_id, activated_at = active
-        info = {"active": True, "kind": kind, "model_id": model_id,
-                "activated_at": activated_at}
-        if kind == "dtree":
-            info["version"] = TREE_SCHEMA_VERSION
-            info["feature_names"] = list(model.feature_names)
-            info["n_samples"] = model.n_samples
-        else:
-            info["version"] = ANN_SCHEMA_VERSION
-            info["layer_sizes"] = list(model.layer_sizes)
-        return info
+        model, activated_at = active
+        return {"active": True, "kind": model.kind, "model_id": model.model_id,
+                "activated_at": activated_at, **model.info()}
 
-    def _predict(self, features: FeatureVector):
+    def _predict(self, features: FeatureVector | None) -> tuple[Label, float] | None:
+        """The active model's verdict; None without a model or without features."""
         with self._model_lock:
             active = self._active
-        if active is None:
-            return None
-        kind, model, _, _ = active
-        if kind == "dtree":
-            return predict_tree(model, features), predict_proba(model, features)
-        label, prob = predict_ann(model, features)
-        return label, prob
+        return None if active is None or features is None else active[0].predict(features)
 
     # ingestion and labeling
 
@@ -266,13 +298,12 @@ class Service:
 
     def submit(self, raw_text: str) -> SampleRecord:
         features, warnings = self._extract(raw_text)
-        predicted = self._predict(features) if features is not None else None
         record = SampleRecord(
             id=uuid.uuid4().hex,
             received_at=time.time(),
             raw_text=raw_text,
             features=features,
-            predicted=predicted,
+            predicted=self._predict(features),
             parse_warnings=warnings,
         )
         self.store.append(record)
@@ -281,18 +312,8 @@ class Service:
     def classify(self, raw_text: str) -> dict:
         """Stateless verdict for a raw listing; nothing is persisted."""
         features, _ = self._extract(raw_text)
-        predicted = self._predict(features) if features is not None else None
-        out = {"verdict": None, "probability": None, "features": None}
-        if features is not None:
-            out["features"] = {"process_count": features.process_count,
-                               "user_count": features.user_count,
-                               "ratio": features.ratio}
-        if predicted is not None:
-            label, prob = predicted
-            out["verdict"] = VERDICT_DISPLAY[label]
-            out["label"] = int(label)
-            out["probability"] = prob
-        return out
+        return verdict_doc(self._predict(features),
+                           features=None if features is None else features.to_dict())
 
     def label(self, record_id: str, label: Label) -> SampleRecord:
         record = self.store.get(record_id)
@@ -317,14 +338,8 @@ class Service:
 
 
 def submit_response(record: SampleRecord) -> dict:
-    doc = {"id": record.id, "verdict": None, "probability": None,
-           "parse_warnings": record.parse_warnings}
-    if record.predicted is not None:
-        label, prob = record.predicted
-        doc["verdict"] = VERDICT_DISPLAY[label]
-        doc["label"] = int(label)
-        doc["probability"] = prob
-    return doc
+    return {"id": record.id,
+            **verdict_doc(record.predicted, parse_warnings=record.parse_warnings)}
 
 
 _LABEL_PATH = re.compile(r"^/v1/samples/([0-9a-fA-F-]+)/label$")
@@ -349,12 +364,7 @@ class _Handler(BaseHTTPRequestHandler):
         logger.debug("%s %s", self.address_string(), fmt % args)
 
     def _send_json(self, status: int, doc) -> None:
-        body = json.dumps(doc).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_text(status, json.dumps(doc), "application/json; charset=utf-8")
 
     def _send_text(self, status: int, text: str, content_type: str) -> None:
         body = text.encode("utf-8")
@@ -373,8 +383,11 @@ class _Handler(BaseHTTPRequestHandler):
             raise _HttpError(401, "missing or invalid bearer token")
 
     def _read_body(self) -> str:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+        length = (self.headers.get("Content-Length") or "0").strip()
+        if not length.isdecimal():
+            self.close_connection = True  # the body's end is unknown
+            raise _HttpError(400, "Content-Length must be a non-negative integer")
+        raw = self.rfile.read(int(length))
         if not raw.strip():
             raise _HttpError(400, "empty body")
         try:
@@ -387,6 +400,8 @@ class _Handler(BaseHTTPRequestHandler):
             doc = json.loads(self._read_body())
         except json.JSONDecodeError:
             raise _HttpError(400, "body is not valid JSON") from None
+        except RecursionError:
+            raise _HttpError(400, "JSON nested too deeply") from None
         if not isinstance(doc, dict):
             raise _HttpError(400, "JSON object expected")
         return doc

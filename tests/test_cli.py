@@ -307,3 +307,15 @@ def test_export_tree_rejects_ann(capsys, dataset_csv, tmp_path):
     code, _, err = run(capsys, "export-tree", str(net))
     assert code == 1
     assert "ModelFormatError" in err
+
+
+# -- serve ---------------------------------------------------------------------------
+
+def test_serve_bad_model_file_is_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    code, _, err = run(capsys, "serve", str(bad), "--data-dir", str(tmp_path / "data"),
+                       "--listen", "127.0.0.1:0")
+    assert code == 1
+    assert err.startswith("ModelFormatError: ")
+    assert "listening" not in err

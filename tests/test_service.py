@@ -1,13 +1,16 @@
 """Service tests: HTTP endpoints, durability, and verdict consistency."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
+from dataclasses import replace
 
 import pytest
 
 from proctriage.ann import AnnConfig, ann_to_dict, init_network
+from proctriage.cli import main
 from proctriage.datagen import generate_process_list
 from proctriage.dtree import TreeConfig, train_tree, tree_to_dict
 from proctriage.features import (
@@ -172,6 +175,20 @@ def test_undecodable_body_is_400(live):
     assert status == 400
 
 
+@pytest.mark.parametrize("length", ["abc", "-1"])
+def test_bad_content_length_is_400_and_closes(live, length):
+    base, _ = live
+    port = int(base.rsplit(":", 1)[1])
+    with socket.create_connection(("127.0.0.1", port), timeout=3) as sock:
+        sock.sendall(f"POST /v1/classify HTTP/1.1\r\nHost: t\r\n"
+                     f"Content-Length: {length}\r\n\r\nbody".encode())
+        reply = b""
+        while chunk := sock.recv(4096):  # the server must answer, then hang up
+            reply += chunk
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert b"Content-Length must be a non-negative integer" in reply
+
+
 def test_duplicate_submissions_get_distinct_ids(live, sandbox_host_text):
     base, _ = live
     _, a = _request(base, "POST", "/v1/submit", sandbox_host_text)
@@ -330,6 +347,66 @@ def test_bad_model_doc_is_400_and_previous_model_survives(live, sandbox_host_tex
     assert doc["verdict"] == "sandbox"
 
 
+def _edited(make_doc, edit):
+    """JSON text of ``make_doc()`` after ``edit`` changed it in place."""
+    doc = make_doc()
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _leftmost_leaf(node):
+    while "left" in node:
+        node = node["left"]
+    return node
+
+
+def _chain_tree(depth):
+    """A tree document ``depth`` splits deep, as text (too deep for json.dumps)."""
+    leaf = '{"n_samples": 1, "class_counts": [1, 0], "impurity": 0.0, "label": 0}'
+    split = ('{"n_samples": 1, "class_counts": [1, 0], "impurity": 0.0, "feature_index": 0, '
+             f'"threshold": 1.0, "right": {leaf}, "left": ')
+    return '{"version": "dtree-v1", "root": ' + split * depth + leaf + "}" * depth + "}"
+
+
+BAD_MODELS = {
+    "tree-feature-index-7":
+        lambda: _edited(_toy_tree_doc, lambda d: d["root"].update(feature_index=7)),
+    "tree-feature-index-negative":
+        lambda: _edited(_toy_tree_doc, lambda d: d["root"].update(feature_index=-1)),
+    "tree-nan-threshold":
+        lambda: _edited(_toy_tree_doc, lambda d: d["root"].update(threshold=float("nan"))),
+    "tree-empty-leaf": lambda: _edited(
+        _toy_tree_doc, lambda d: _leftmost_leaf(d["root"]).update(class_counts=[0, 0])),
+    "tree-900-deep": lambda: _chain_tree(900),
+    "tree-1500-deep": lambda: _chain_tree(1500),
+    "ann-scaler-length-2": lambda: _edited(
+        _toy_ann_doc, lambda d: d["scaler"].update(mins=[9.0, 1.0], maxs=[305.0, 17.0])),
+    "ann-nan-threshold":
+        lambda: _edited(_toy_ann_doc, lambda d: d.update(threshold=float("nan"))),
+    "ann-two-inputs": lambda: _edited(_toy_ann_doc, lambda d: d.update(
+        layer_sizes=[2, 3, 3, 1],
+        weights=[{"shape": [2, 3], "data": [0.1] * 6}, *d["weights"][1:]])),
+}
+
+
+@pytest.mark.parametrize("make_body", BAD_MODELS.values(), ids=BAD_MODELS.keys())
+def test_invalid_model_doc_is_400_and_previous_model_survives(live, sandbox_host_text,
+                                                              make_body):
+    base, _ = live
+    _request(base, "POST", "/v1/model", json.dumps(_toy_tree_doc()),
+             content_type="application/json")
+    _, before = _request(base, "GET", "/v1/model")
+
+    status, doc = _request(base, "POST", "/v1/model", make_body(),
+                           content_type="application/json")
+    assert status == 400, doc
+
+    _, after = _request(base, "GET", "/v1/model")
+    assert after == before
+    status, doc = _request(base, "POST", "/v1/classify", sandbox_host_text)
+    assert status == 200 and doc["verdict"] == "sandbox"
+
+
 def test_ann_model_info(live):
     base, _ = live
     status, info = _request(base, "POST", "/v1/model", json.dumps(_toy_ann_doc()),
@@ -410,3 +487,52 @@ def test_submit_response_shape():
     doc = submit_response(rec)
     assert doc == {"id": "r1", "verdict": "safe", "probability": 0.12,
                    "label": 0, "parse_warnings": 0}
+
+
+# -- byte compatibility ------------------------------------------------------------
+
+LISTING = """\
+  PID  PPID USER     CMD
+    1     0 root     /sbin/init
+  212     1 root     /usr/sbin/sshd
+  940   212 alice    -bash
+   ??   940 carol    broken row
+  951   940 bob      -bash
+"""
+_FEATURES = '{"process_count": 4, "user_count": 3, "ratio": 1.3333333333333333}'
+_RAW = json.dumps(LISTING)
+GOLDEN = {
+    False: (
+        '{"verdict": null, "probability": null, "features": ' + _FEATURES + '}',
+        '{"id": "r1", "verdict": null, "probability": null, "parse_warnings": 1}',
+        '{"id":"r1","received_at":1.5,"raw_text":' + _RAW + ',"features":'
+        + _FEATURES.replace(" ", "") + ',"predicted":null,"human_label":null,"parse_warnings":1}',
+    ),
+    True: (
+        '{"verdict": "sandbox", "probability": 1.0, "features": ' + _FEATURES + ', "label": 1}',
+        '{"id": "r1", "verdict": "sandbox", "probability": 1.0, "parse_warnings": 1, "label": 1}',
+        '{"id":"r1","received_at":1.5,"raw_text":' + _RAW + ',"features":'
+        + _FEATURES.replace(" ", "") + ',"predicted":{"label":1,"probability":1.0},'
+        '"human_label":null,"parse_warnings":1}',
+    ),
+}
+
+
+@pytest.mark.parametrize("with_model", [False, True])
+def test_verdict_and_record_bytes_are_pinned(tmp_path, with_model):
+    svc = Service(ServiceConfig(data_dir=tmp_path, port=0))
+    if with_model:
+        svc.activate_model(_toy_tree_doc())
+    classify, submit, line = GOLDEN[with_model]
+    assert json.dumps(svc.classify(LISTING)) == classify
+    record = replace(svc.submit(LISTING), id="r1", received_at=1.5)
+    assert json.dumps(submit_response(record)) == submit
+    assert json.dumps(record_to_dict(record), separators=(",", ":")) == line
+
+
+def test_cli_classify_out_is_the_classify_document(tmp_path):
+    model, listing, out = tmp_path / "tree.json", tmp_path / "host.txt", tmp_path / "v.json"
+    model.write_text(json.dumps(_toy_tree_doc()))
+    listing.write_text(LISTING)
+    assert main(["classify", str(model), "--in", str(listing), "--out", str(out)]) == 0
+    assert json.dumps(json.loads(out.read_text())) == GOLDEN[True][0]
