@@ -17,9 +17,7 @@ from .ann import (
     forward,
     gradient_check,
     init_network,
-    load_ann,
     predict_ann,
-    save_ann,
     sigmoid,
     train_ann,
 )
@@ -39,10 +37,8 @@ from .dtree import (
     best_split,
     export_tree,
     gini,
-    load_tree,
     predict_proba,
     predict_tree,
-    save_tree,
     train_tree,
     tree_from_dict,
     tree_to_dict,
@@ -109,13 +105,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnnConfig", "LossHistory", "NeuralNetModel", "ann_from_dict", "ann_to_dict",
-    "bce_loss", "forward", "gradient_check", "init_network", "load_ann",
-    "predict_ann", "save_ann", "sigmoid", "train_ann",
+    "bce_loss", "forward", "gradient_check", "init_network", "predict_ann",
+    "sigmoid", "train_ann",
     "SAFE_PROFILE", "UNSAFE_PROFILE", "ClassProfile", "FeatureProfile",
     "GenConfig", "generate_dataset", "generate_process_list",
     "DecisionTreeModel", "TreeConfig", "TreeNode", "best_split", "export_tree",
-    "gini", "load_tree", "predict_proba", "predict_tree", "save_tree",
-    "train_tree", "tree_from_dict", "tree_to_dict",
+    "gini", "predict_proba", "predict_tree", "train_tree", "tree_from_dict",
+    "tree_to_dict",
     "DatasetTooSmall", "EmptyListing", "EmptyNode", "LengthMismatch",
     "MalformedDatasetFile", "MalformedRow", "ModelFormatError", "TriageError",
     "UnrecognizedFormat",

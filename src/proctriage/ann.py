@@ -8,9 +8,7 @@ prediction can never leak test-set statistics.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -255,15 +253,3 @@ def ann_from_dict(doc: dict) -> NeuralNetModel:
     if not 0.0 <= model.threshold <= 1.0:
         raise ModelFormatError(f"threshold {model.threshold} is not a probability")
     return model
-
-
-def save_ann(model: NeuralNetModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(ann_to_dict(model), indent=2) + "\n", encoding="utf-8")
-
-
-def load_ann(path: str | Path) -> NeuralNetModel:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ModelFormatError(f"not valid JSON: {e}") from None
-    return ann_from_dict(doc)

@@ -7,10 +7,8 @@ training is fully deterministic.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -308,15 +306,3 @@ def tree_from_dict(doc: dict) -> DecisionTreeModel:
         )
     except (KeyError, TypeError, ValueError) as e:
         raise ModelFormatError(str(e)) from None
-
-
-def save_tree(model: DecisionTreeModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(tree_to_dict(model), indent=2) + "\n", encoding="utf-8")
-
-
-def load_tree(path: str | Path) -> DecisionTreeModel:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ModelFormatError(f"not valid JSON: {e}") from None
-    return tree_from_dict(doc)

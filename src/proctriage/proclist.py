@@ -7,11 +7,14 @@ Two input shapes are understood:
   separated by tabs or by runs of two-or-more spaces, because NAME and
   OWNER legitimately contain single spaces ("System Process",
   "NT AUTHORITY\\SYSTEM").
-* ``ps_unix`` -- ps-style output whose first non-blank line is a header
-  containing PID and CMD/COMMAND.
+* ``ps_unix`` -- ps-style output with a header of PID and CMD/COMMAND
+  columns (PPID and USER/UID are read when present).  Cells are separated
+  by tabs or by whitespace, so a space-aligned row keeps spaces only in
+  its last column.
 
-The canonical serialized form emitted by :func:`serialize_process_list`
-is tab-separated with a single header line.
+The first line that looks like either header decides the format, and
+lines before it are ignored.  The canonical serialized form emitted by
+:func:`serialize_process_list` is tab-separated with one header line.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ import logging
 import re
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import EmptyListing, MalformedRow, UnrecognizedFormat
 
@@ -73,28 +77,37 @@ class ProcessList:
             raise ValueError("more than one pid-0 pseudo-process")
 
 
-def detect_format(text: str) -> str:
-    """Return the listing format of ``text``.
+def _find_header(lines: list[str], fmt: str | None = None) -> tuple[str, int]:
+    """Return ``(format, index)`` of the first header line in ``lines``.
 
-    The first line that looks like a header decides: PID plus NAME tokens
-    mean ``tasklist_tabular``; PID plus CMD/COMMAND mean ``ps_unix``.
+    PID plus NAME tokens mark a ``tasklist_tabular`` header, PID plus
+    CMD/COMMAND a ``ps_unix`` one; NAME wins on a line with both.  A
+    ``fmt`` hint accepts only its own header.  Raises
+    :class:`UnrecognizedFormat` when no line qualifies.
+    """
+    for i, line in enumerate(lines):
+        tokens = {tok.upper() for tok in line.split()}
+        if "PID" not in tokens:
+            continue
+        if fmt != PS_UNIX and "NAME" in tokens:
+            return TASKLIST_TABULAR, i
+        if fmt != TASKLIST_TABULAR and ("CMD" in tokens or "COMMAND" in tokens):
+            return PS_UNIX, i
+    raise UnrecognizedFormat(f"no {fmt or 'tasklist or ps'} header line found")
+
+
+def detect_format(text: str) -> str:
+    """Return the listing format of ``text``: that of its first header line.
+
     Raises :class:`UnrecognizedFormat` when no line qualifies.
     """
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        tokens = {tok.upper() for tok in line.split()}
-        if "PID" in tokens and "NAME" in tokens:
-            return TASKLIST_TABULAR
-        if "PID" in tokens and ("CMD" in tokens or "COMMAND" in tokens):
-            return PS_UNIX
-    raise UnrecognizedFormat("no tasklist or ps header line found")
+    return _find_header(text.splitlines())[0]
 
 
 def _split_cells(line: str) -> list[str]:
     if "\t" in line:
         return [c.strip() for c in line.split("\t")]
-    return [c for c in _SPACE_RUN.split(line.strip())]
+    return _SPACE_RUN.split(line.strip())
 
 
 def _parse_int(cell: str) -> int | None:
@@ -104,167 +117,118 @@ def _parse_int(cell: str) -> int | None:
         return None
 
 
-def _entry_from_tasklist(cells: list[str], col_of: dict[str, int],
-                         positional: bool) -> ProcessEntry | str:
-    """Build an entry from one tasklist row, or return a reject reason.
+def _entry(pid: str, ppid: str, arch: str, sess: str, name: str,
+           owner: str) -> ProcessEntry | str:
+    """Build an entry from one row's cells, or return why the row is rejected.
+
+    A bad pid or a blank name rejects the row.  A blank, bad or negative
+    ppid reads as 0, an unknown arch as ``unknown``, a blank or bad
+    session as None and a blank owner as None.
+    """
+    pid_n = _parse_int(pid)
+    if pid_n is None or pid_n < 0:
+        return f"non-numeric pid cell {pid!r}"
+    name = name.strip()
+    if not name:
+        return "empty name cell"
+    ppid_n = _parse_int(ppid) if ppid else 0
+    arch = arch.lower()
+    return ProcessEntry(pid_n, ppid_n if ppid_n and ppid_n > 0 else 0, name,
+                        arch if arch in (ARCH_X86, ARCH_X64) else ARCH_UNKNOWN,
+                        _parse_int(sess) if sess else None, owner.strip() or None)
+
+
+def _picker(indices):
+    """``cells -> the _entry cells at indices``; a None or out-of-row index reads ''."""
+    indices = [-1 if i is None else i for i in indices]
+    pad = [""] * (max(indices) + 2)  # every index lands, and cells[-1] is ''
+    get = itemgetter(*indices)
+    return lambda cells: get(cells + pad)
+
+
+def _tasklist_reader(header: str):
+    """Row reader for a tasklist header; its columns are resolved once here.
 
     Tab-split rows map cells to header columns positionally.  Space-split
     rows lose their empty cells, so remaining cells after PID/PPID are
     consumed by type: an arch token, then an integer session, then the
     name, then an optional owner.
     """
-    if positional:
-        def cell(name):
-            i = col_of.get(name)
-            return cells[i] if i is not None and i < len(cells) else ""
+    col_of = {tok.upper(): j for j, tok in enumerate(_split_cells(header))
+              if tok.upper() in _TASKLIST_COLUMNS}
+    if "PID" not in col_of:  # header not cell-aligned, assume canonical order
+        col_of = {name: j for j, name in enumerate(_TASKLIST_COLUMNS)}
+    by_column = _picker(col_of.get(name) for name in _TASKLIST_COLUMNS)
 
-        pid_cell, ppid_cell = cell("PID"), cell("PPID")
-        arch_cell, sess_cell = cell("ARCH"), cell("SESS")
-        name_cell, owner_cell = cell("NAME"), cell("OWNER")
-    else:
+    def read(line: str) -> ProcessEntry | str:
+        cells = _split_cells(line)
+        if "\t" in line:
+            return _entry(*by_column(cells))
         if len(cells) < 3:
             return "fewer than three cells"
-        pid_cell, ppid_cell, rest = cells[0], cells[1], cells[2:]
-        arch_cell = sess_cell = ""
-        if rest and rest[0].lower() in (ARCH_X86, ARCH_X64):
-            arch_cell = rest.pop(0)
-        if rest and _parse_int(rest[0]) is not None:
-            sess_cell = rest.pop(0)
+        pid, ppid, *rest = cells
+        arch = rest.pop(0) if rest[0].lower() in (ARCH_X86, ARCH_X64) else ""
+        sess = rest.pop(0) if rest and _parse_int(rest[0]) is not None else ""
         if not rest:
             return "no name cell"
-        name_cell = rest.pop(0)
-        owner_cell = rest.pop(0) if rest else ""
-
-    pid = _parse_int(pid_cell)
-    if pid is None or pid < 0:
-        return f"non-numeric pid cell {pid_cell!r}"
-    ppid = _parse_int(ppid_cell) if ppid_cell else 0
-    if ppid is None or ppid < 0:
-        ppid = 0
-    arch = arch_cell.lower() if arch_cell.lower() in (ARCH_X86, ARCH_X64) else ARCH_UNKNOWN
-    session = _parse_int(sess_cell) if sess_cell else None
-    if not name_cell.strip():
-        return "empty name cell"
-    owner = owner_cell.strip() or None
-    return ProcessEntry(pid=pid, ppid=ppid, name=name_cell.strip(),
-                        arch=arch, session=session, owner=owner)
+        return _entry(pid, ppid, arch, sess, rest[0], rest[1] if len(rest) > 1 else "")
+    return read
 
 
-def _parse_tasklist(lines: list[str], strict: bool):
-    header_idx = None
-    col_of: dict[str, int] = {}
-    for i, line in enumerate(lines):
-        flat = {t.upper() for t in line.split()}
-        if "PID" in flat and "NAME" in flat:
-            header_idx = i
-            for j, tok in enumerate(_split_cells(line)):
-                tok = tok.upper()
-                if tok in _TASKLIST_COLUMNS:
-                    col_of[tok] = j
-            if "PID" not in col_of:  # header not cell-aligned, assume canonical order
-                col_of = {name: j for j, name in enumerate(_TASKLIST_COLUMNS)}
-            break
-    if header_idx is None:
-        raise UnrecognizedFormat("no tasklist header line found")
+def _ps_reader(header: str):
+    """Row reader for a ps header.  Space-aligned rows are split at most once
+    per header column, so the last column keeps its inner spaces."""
+    upper = [tok.upper() for tok in header.split()]
+    cmd = next(i for i, tok in enumerate(upper) if tok in ("CMD", "COMMAND"))
+    ppid = upper.index("PPID") if "PPID" in upper else None
+    user = next((i for i, tok in enumerate(upper) if tok in ("USER", "UID")), None)
+    by_column = _picker((upper.index("PID"), ppid, None, None, cmd, user))
+    last = len(upper) - 1
 
-    entries: list[ProcessEntry] = []
-    warnings: list[str] = []
-    seen_pid0 = False
-    for offset, line in enumerate(lines[header_idx + 1:], start=header_idx + 2):
-        if not line.strip() or _RULE_LINE.match(line.strip()):
-            continue
-        cells = _split_cells(line)
-        made = _entry_from_tasklist(cells, col_of, positional="\t" in line)
-        if isinstance(made, str):
-            if strict:
-                raise MalformedRow(offset, made)
-            warnings.append(f"line {offset}: skipped ({made})")
-            continue
-        if made.pid == 0:
-            if seen_pid0:
-                if strict:
-                    raise MalformedRow(offset, "duplicate pid-0 row")
-                warnings.append(f"line {offset}: skipped (duplicate pid-0 row)")
-                continue
-            seen_pid0 = True
-        entries.append(made)
-    return entries, warnings
-
-
-def _parse_ps(lines: list[str], strict: bool):
-    header_idx = next((i for i, l in enumerate(lines) if l.strip()), None)
-    if header_idx is None:
-        raise UnrecognizedFormat("empty text")
-    header = lines[header_idx].split()
-    upper = [t.upper() for t in header]
-    try:
-        pid_idx = upper.index("PID")
-    except ValueError:
-        raise UnrecognizedFormat("ps header lacks PID") from None
-    cmd_idx = next((i for i, t in enumerate(upper) if t in ("CMD", "COMMAND")), None)
-    if cmd_idx is None:
-        raise UnrecognizedFormat("ps header lacks CMD/COMMAND")
-    ppid_idx = upper.index("PPID") if "PPID" in upper else None
-    user_idx = next((i for i, t in enumerate(upper) if t in ("USER", "UID")), None)
-
-    entries: list[ProcessEntry] = []
-    warnings: list[str] = []
-    for offset, line in enumerate(lines[header_idx + 1:], start=header_idx + 2):
-        if not line.strip():
-            continue
-        if "\t" in line:
-            cells = [c.strip() for c in line.split("\t")]
-        else:
-            cells = line.split(None, len(header) - 1)
-        if len(cells) <= max(pid_idx, cmd_idx):
-            if strict:
-                raise MalformedRow(offset, "too few columns")
-            warnings.append(f"line {offset}: skipped (too few columns)")
-            continue
-        pid = _parse_int(cells[pid_idx])
-        if pid is None or pid < 0:
-            if strict:
-                raise MalformedRow(offset, f"non-numeric pid cell {cells[pid_idx]!r}")
-            warnings.append(f"line {offset}: skipped (non-numeric pid)")
-            continue
-        ppid = 0
-        if ppid_idx is not None and ppid_idx < len(cells):
-            ppid = _parse_int(cells[ppid_idx]) or 0
-        owner = cells[user_idx].strip() or None if user_idx is not None and user_idx < len(cells) else None
-        name = cells[cmd_idx].strip()
-        if not name:
-            if strict:
-                raise MalformedRow(offset, "empty command cell")
-            warnings.append(f"line {offset}: skipped (empty command)")
-            continue
-        entries.append(ProcessEntry(pid=pid, ppid=ppid, name=name, owner=owner))
-    return entries, warnings
+    def read(line: str) -> ProcessEntry | str:
+        cells = _split_cells(line) if "\t" in line else line.split(None, last)
+        return _entry(*by_column(cells))
+    return read
 
 
 def parse_process_list(text: str, fmt: str | None = None, *, strict: bool = False,
                        source_id: str = "") -> ProcessList:
     """Parse raw listing text into a :class:`ProcessList`.
 
-    Malformed rows are skipped with a recorded warning unless ``strict``
-    is set, in which case the first bad row raises :class:`MalformedRow`.
+    Blank and rule lines are ignored.  Malformed rows, and any pid-0 row
+    after the first, are skipped with a recorded warning unless ``strict``
+    is set, in which case the first one raises :class:`MalformedRow`.
     Raises :class:`EmptyListing` when the header has no data rows and
     :class:`UnrecognizedFormat` when no header is found.
     """
-    if not text.strip():
-        raise UnrecognizedFormat("empty text")
-    if fmt is None:
-        fmt = detect_format(text)
-    if fmt not in (TASKLIST_TABULAR, PS_UNIX):
+    if fmt not in (None, TASKLIST_TABULAR, PS_UNIX):
         raise UnrecognizedFormat(f"unknown format hint {fmt!r}")
-
     lines = text.splitlines()
-    if fmt == TASKLIST_TABULAR:
-        entries, warnings = _parse_tasklist(lines, strict)
-    else:
-        entries, warnings = _parse_ps(lines, strict)
+    fmt, header = _find_header(lines, fmt)
+    read = (_tasklist_reader if fmt == TASKLIST_TABULAR else _ps_reader)(lines[header])
 
-    for w in warnings:
-        logger.warning("%s: %s", source_id or "<listing>", w)
+    entries: list[ProcessEntry] = []
+    warnings: list[str] = []
+    seen_pid0 = False
+    for line_no, line in enumerate(lines[header + 1:], start=header + 2):
+        bare = line.strip()
+        if not bare or _RULE_LINE.match(bare):
+            continue
+        made = read(line)
+        if isinstance(made, ProcessEntry) and made.pid == 0:
+            if seen_pid0:
+                made = "duplicate pid-0 row"
+            seen_pid0 = True
+        if isinstance(made, str):
+            if strict:
+                raise MalformedRow(line_no, made)
+            warnings.append(f"line {line_no}: skipped ({made})")
+        else:
+            entries.append(made)
+
+    if warnings:
+        logger.warning("%s: %d row(s) skipped; first: %s",
+                       source_id or "<listing>", len(warnings), warnings[0])
     if not entries:
         raise EmptyListing("header present but no data rows parsed")
     return ProcessList(entries=tuple(entries), source_id=source_id,

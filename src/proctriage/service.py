@@ -180,8 +180,8 @@ class SampleStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        # keeps first-submission order: re-assigning an id keeps its place
         self._records: dict[str, SampleRecord] = {}
-        self._order: list[str] = []
         self._reload()
 
     def _reload(self) -> None:
@@ -196,12 +196,7 @@ class SampleStore:
                         # torn trailing write or manual edit; keep serving
                         logger.warning("%s:%d unreadable row skipped", path.name, line_no)
                         continue
-                    self._index(record)
-
-    def _index(self, record: SampleRecord) -> None:
-        if record.id not in self._records:
-            self._order.append(record.id)
-        self._records[record.id] = record
+                    self._records[record.id] = record
 
     def append(self, record: SampleRecord) -> None:
         """Durably append a snapshot, then make it visible."""
@@ -213,7 +208,7 @@ class SampleStore:
                 fh.write(line + "\n")
                 fh.flush()
                 os.fsync(fh.fileno())
-            self._index(record)
+            self._records[record.id] = record
 
     def get(self, record_id: str) -> SampleRecord | None:
         with self._lock:
@@ -221,7 +216,7 @@ class SampleStore:
 
     def all_records(self) -> list[SampleRecord]:
         with self._lock:
-            return [self._records[i] for i in self._order]
+            return list(self._records.values())
 
     def __len__(self) -> int:
         with self._lock:

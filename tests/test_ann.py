@@ -1,5 +1,6 @@
 """Network internals: sigmoid, loss, training dynamics, persistence."""
 
+import json
 import math
 
 import numpy as np
@@ -14,9 +15,7 @@ from proctriage.ann import (
     forward,
     gradient_check,
     init_network,
-    load_ann,
     predict_ann,
-    save_ann,
     sigmoid,
     train_ann,
 )
@@ -28,6 +27,7 @@ from proctriage.features import (
     LabeledSample,
     ScalerParams,
 )
+from proctriage.service import read_model_file
 
 
 def _mk(pc, uc, label):
@@ -188,8 +188,8 @@ def test_gradient_check_detects_broken_gradient():
 def test_json_roundtrip_bitwise(tmp_path):
     model, _ = train_ann(_toy_dataset(), AnnConfig(epochs=30, seed=4))
     path = tmp_path / "ann.json"
-    save_ann(model, path)
-    again = load_ann(path)
+    path.write_text(json.dumps(ann_to_dict(model), indent=2) + "\n", encoding="utf-8")
+    again = read_model_file(path).model
     assert again.layer_sizes == model.layer_sizes
     for a, b in zip(again.parameters(), model.parameters()):
         np.testing.assert_array_equal(a, b)
@@ -223,4 +223,4 @@ def test_load_rejects_non_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     with pytest.raises(ModelFormatError):
-        load_ann(bad)
+        read_model_file(bad)

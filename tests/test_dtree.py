@@ -12,16 +12,15 @@ from proctriage.dtree import (
     best_split,
     export_tree,
     gini,
-    load_tree,
     predict_proba,
     predict_tree,
-    save_tree,
     train_tree,
     tree_from_dict,
     tree_to_dict,
 )
 from proctriage.errors import DatasetTooSmall, EmptyNode, ModelFormatError
 from proctriage.features import FeatureVector, Label, LabeledDataset, LabeledSample
+from proctriage.service import read_model_file
 
 
 def _mk(pc, uc, label):
@@ -208,8 +207,8 @@ def test_json_roundtrip_preserves_predictions(tmp_path):
     ])
     model = train_tree(data, TreeConfig(max_depth=4))
     path = tmp_path / "tree.json"
-    save_tree(model, path)
-    again = load_tree(path)
+    path.write_text(json.dumps(tree_to_dict(model), indent=2) + "\n", encoding="utf-8")
+    again = read_model_file(path).model
     assert tree_to_dict(again) == tree_to_dict(model)
     for s in data:
         assert predict_tree(again, s.features) == predict_tree(model, s.features)
@@ -238,4 +237,12 @@ def test_load_rejects_non_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("not json at all")
     with pytest.raises(ModelFormatError):
-        load_tree(bad)
+        read_model_file(bad)
+
+
+def test_load_rejects_deeply_nested_json(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"version": "dtree-v1", "root": ' + '{"left": ' * 100_000
+                    + "null" + "}" * 100_001)
+    with pytest.raises(ModelFormatError):
+        read_model_file(deep)

@@ -1,8 +1,12 @@
 """Parser tests: format detection, lenient/strict behavior, round-trips."""
 
-import pytest
+import logging
 
-from proctriage.errors import EmptyListing, MalformedRow, UnrecognizedFormat
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from proctriage.errors import EmptyListing, MalformedRow, TriageError, UnrecognizedFormat
 from proctriage.proclist import (
     PS_UNIX,
     TASKLIST_TABULAR,
@@ -166,3 +170,92 @@ def test_space_aligned_tasklist_rows():
     assert plist.entries[1].arch == "x64"
     assert plist.entries[1].session == 0
     assert plist.entries[1].owner == "NT AUTHORITY\\SYSTEM"
+
+
+# -- ps rows follow the tasklist rules ------------------------------------------
+
+PS_TWO_PID0 = "PID PPID USER CMD\n0 0 root idle\n0 0 root idle\n7 0 root init\n"
+
+
+def test_ps_negative_ppid_reads_as_zero():
+    plist = parse_process_list("PID PPID USER CMD\n1 -5 root init\n")
+    assert plist.entries == (ProcessEntry(pid=1, ppid=0, name="init", owner="root"),)
+
+
+def test_ps_duplicate_pid0_lenient_and_strict():
+    plist = parse_process_list(PS_TWO_PID0)
+    assert [e.pid for e in plist.entries] == [0, 7]
+    assert plist.warnings == ("line 3: skipped (duplicate pid-0 row)",)
+    with pytest.raises(MalformedRow):
+        parse_process_list(PS_TWO_PID0, strict=True)
+
+
+def test_ps_header_after_banner_lines():
+    text = "process snapshot from host-17\n\n" + PS_SAMPLE
+    assert detect_format(text) == PS_UNIX
+    plist = parse_process_list(text)
+    assert plist.entries == parse_process_list(PS_SAMPLE).entries
+    assert plist.warnings == ()
+
+
+def test_ps_rule_lines_are_skipped():
+    text = PS_SAMPLE.replace("\n", "\n----- ----- -------- ---\n", 1)
+    plist = parse_process_list(text)
+    assert plist.entries == parse_process_list(PS_SAMPLE).entries
+    assert plist.warnings == ()
+
+
+def test_format_hint_accepts_only_its_own_header():
+    text = "PID PPID USER CMD\nPID\tPPID\tARCH\tSESS\tNAME\tOWNER\n4\t0\t\t\tSystem\t\n"
+    assert detect_format(text) == PS_UNIX
+    plist = parse_process_list(text, fmt=TASKLIST_TABULAR)
+    assert plist.format == TASKLIST_TABULAR
+    assert [e.name for e in plist.entries] == ["System"]
+
+
+def test_skipped_rows_log_one_summary_line(caplog):
+    text = "PID\tPPID\tARCH\tSESS\tNAME\tOWNER\n4\t0\t\t\tSystem\t\n" + "?\t?\tbad\n" * 500
+    with caplog.at_level(logging.WARNING, logger="proctriage.proclist"):
+        plist = parse_process_list(text, source_id="host-9")
+    assert len(plist.warnings) == 500
+    records = [r for r in caplog.records if r.name == "proctriage.proclist"]
+    assert [r.levelno for r in records] == [logging.WARNING]
+    message = records[0].getMessage()
+    assert message.startswith("host-9: 500 row(s) skipped")
+    assert plist.warnings[0] in message
+
+
+# -- any text: a listing or a TriageError -----------------------------------------
+
+TASKLIST_SAMPLE = (
+    "PID\tPPID\tARCH\tSESS\tNAME\tOWNER\n"
+    "0\t0\t\t\tSystem Process\t\n"
+    "4\t0\tx64\t0\tSystem\tNT AUTHORITY\\SYSTEM\n"
+    "612\t4\tx64\t1\texplorer.exe\tCORP\\alice\n"
+)
+_CELLS = st.one_of(st.integers(-3, 3).map(str),
+                   st.sampled_from(["", " ", "x64", "root", "System Process", "-", "?"]),
+                   st.text(max_size=6))
+_ROWS = st.builds(lambda cells, sep: sep.join(cells),
+                  st.lists(_CELLS, max_size=7), st.sampled_from(["\t", "  ", " "]))
+_LINES = st.one_of(_ROWS, st.text(max_size=20),
+                   st.sampled_from(["", "----", "PID PPID USER CMD", "PID\tNAME", "banner",
+                                    "0 0 root idle", "1 -5 root init"]))
+
+
+@st.composite
+def _mutated_listings(draw):
+    lines = draw(st.sampled_from([PS_SAMPLE, TASKLIST_SAMPLE])).splitlines()
+    for _ in range(draw(st.integers(0, 6))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_LINES))
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(), _mutated_listings()), st.booleans())
+def test_any_text_parses_or_raises_triage_error(text, strict):
+    try:
+        plist = parse_process_list(text, strict=strict)
+    except TriageError:
+        return
+    assert plist.format == detect_format(text)

@@ -72,10 +72,9 @@ def _request(base, method, path, body=None, content_type="text/plain", token=Non
     return status, json.loads(raw) if ctype == "json" else raw
 
 
-@pytest.fixture
-def live(tmp_path):
-    """A running server on a free port; yields (base_url, service)."""
-    service = Service(ServiceConfig(data_dir=tmp_path, port=0))
+def _serve(config):
+    """Run a server on a free port; yields (base_url, service)."""
+    service = Service(config)
     server = make_server(service)
     thread = threading.Thread(target=lambda: server.serve_forever(poll_interval=0.02), daemon=True)
     thread.start()
@@ -85,6 +84,16 @@ def live(tmp_path):
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.fixture
+def live(tmp_path):
+    yield from _serve(ServiceConfig(data_dir=tmp_path, port=0))
+
+
+@pytest.fixture
+def strict_live(tmp_path):
+    yield from _serve(ServiceConfig(data_dir=tmp_path, port=0, strict=True))
 
 
 # -- submission ---------------------------------------------------------------
@@ -146,19 +155,40 @@ def test_garbage_stored_featureless_in_lenient_mode(live):
     assert record.raw_text == GARBAGE
 
 
-def test_strict_mode_rejects_garbage(tmp_path):
-    service = Service(ServiceConfig(data_dir=tmp_path, port=0, strict=True))
-    server = make_server(service)
-    threading.Thread(target=lambda: server.serve_forever(poll_interval=0.02), daemon=True).start()
-    base = f"http://127.0.0.1:{server.server_address[1]}"
-    try:
-        status, doc = _request(base, "POST", "/v1/submit", GARBAGE)
+def test_strict_mode_rejects_garbage(strict_live):
+    base, service = strict_live
+    status, doc = _request(base, "POST", "/v1/submit", GARBAGE)
+    assert status == 422
+    assert "error" in doc
+    assert len(service.store) == 0
+
+
+PS_NEGATIVE_PPID = "PID PPID USER CMD\n1 -5 root init\n"
+PS_TWO_PID0 = "PID PPID USER CMD\n0 0 root idle\n0 0 root idle\n7 0 root init\n"
+PS_AFTER_BANNER = "snapshot taken by agent\nPID PPID USER CMD\n1 0 root init\n7 1 alice bash\n"
+
+
+@pytest.mark.parametrize("text, warnings", [(PS_NEGATIVE_PPID, 0), (PS_TWO_PID0, 1),
+                                            (PS_AFTER_BANNER, 0)],
+                         ids=["negative-ppid", "duplicate-pid0", "banner"])
+def test_ps_listings_are_scored_and_stored(live, text, warnings):
+    base, service = live
+    status, cls = _request(base, "POST", "/v1/classify", text)
+    assert status == 200
+    assert cls["features"] is not None
+    status, sub = _request(base, "POST", "/v1/submit", text)
+    assert status == 200
+    assert sub["parse_warnings"] == warnings
+    assert service.store.get(sub["id"]).features == FeatureVector.from_dict(cls["features"])
+
+
+def test_strict_mode_rejects_duplicate_ps_pid0_with_422(strict_live):
+    base, service = strict_live
+    for route in ("/v1/classify", "/v1/submit"):
+        status, doc = _request(base, "POST", route, PS_TWO_PID0)
         assert status == 422
-        assert "error" in doc
-        assert len(service.store) == 0
-    finally:
-        server.shutdown()
-        server.server_close()
+        assert doc["error"].startswith("MalformedRow: line 3")
+    assert len(service.store) == 0
 
 
 def test_empty_body_is_400(live):
