@@ -15,6 +15,7 @@ cheap at the volumes this service sees.
 from __future__ import annotations
 
 import hashlib
+import hmac
 import json
 import logging
 import os
@@ -51,6 +52,8 @@ logger = logging.getLogger(__name__)
 
 MODEL_FILENAME = "model.json"
 VERDICT_DISPLAY = {Label.TARGET: "safe", Label.SANDBOX: "sandbox"}
+# refused with 413; the largest listing the service expects is well under 1 MiB
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -168,12 +171,23 @@ def record_from_dict(doc: dict) -> SampleRecord:
     )
 
 
+def _fsync_dir(path: Path) -> None:
+    """Make a file created or renamed in ``path`` survive a crash."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class SampleStore:
     """Append-only JSONL store with an in-memory index.
 
     Appends are serialized by a lock and fsynced before the caller is
     told the record exists; updates append a fresh full snapshot rather
-    than rewriting history.
+    than rewriting history.  A day file left ending in a torn line by a
+    crash gets a newline before its next record, so the fragment stays
+    one unreadable row and the new record a readable one.
     """
 
     def __init__(self, root: str | Path):
@@ -182,6 +196,8 @@ class SampleStore:
         self._lock = threading.Lock()
         # keeps first-submission order: re-assigning an id keeps its place
         self._records: dict[str, SampleRecord] = {}
+        # day files known to end in a newline: written whole by this process
+        self._whole: set[Path] = set()
         self._reload()
 
     def _reload(self) -> None:
@@ -200,15 +216,30 @@ class SampleStore:
 
     def append(self, record: SampleRecord) -> None:
         """Durably append a snapshot, then make it visible."""
-        line = json.dumps(record_to_dict(record), separators=(",", ":"))
+        line = json.dumps(record_to_dict(record), separators=(",", ":")) + "\n"
         with self._lock:
             day = time.strftime("%Y%m%d", time.gmtime(record.received_at))
             path = self.root / f"samples-{day}.jsonl"
+            created = not path.exists()
+            if path not in self._whole and not created and not self._ends_in_newline(path):
+                line = "\n" + line
+            self._whole.discard(path)  # a failed write below may leave a torn line
             with open(path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+                fh.write(line)
                 fh.flush()
                 os.fsync(fh.fileno())
+            if created:
+                _fsync_dir(self.root)
+            self._whole.add(path)
             self._records[record.id] = record
+
+    @staticmethod
+    def _ends_in_newline(path: Path) -> bool:
+        with open(path, "rb") as fh:
+            if fh.seek(0, os.SEEK_END) == 0:
+                return True
+            fh.seek(-1, os.SEEK_END)
+            return fh.read(1) == b"\n"
 
     def get(self, record_id: str) -> SampleRecord | None:
         with self._lock:
@@ -254,8 +285,12 @@ class Service:
     def _install(self, model: Model, persist: bool) -> dict:
         if persist:
             tmp = self.data_dir / (MODEL_FILENAME + ".tmp")
-            tmp.write_text(model.document + "\n", encoding="utf-8")
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(model.document + "\n")
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp, self.data_dir / MODEL_FILENAME)
+            _fsync_dir(self.data_dir)
         with self._model_lock:
             self._active = (model, time.time())
         return self.model_info()
@@ -350,6 +385,15 @@ class _HttpError(Exception):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "proctriage"
     protocol_version = "HTTP/1.1"
+    # Each response is one segment sent at once: headers and body collect in
+    # the buffered wfile that handle_one_request flushes after each request,
+    # and TCP_NODELAY keeps Nagle's algorithm from holding that segment (or
+    # the tail of a long response) until the client's delayed ACK.
+    wbufsize = -1
+    disable_nagle_algorithm = True
+    # seconds a socket read or write may block: an idle keep-alive connection,
+    # a stalled body or a stalled reader is then dropped without a reply
+    timeout = 30
 
     @property
     def service(self) -> Service:
@@ -357,6 +401,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, fmt, *args):
         logger.debug("%s %s", self.address_string(), fmt % args)
+
+    def handle_expect_100(self):
+        # the stdlib leaves "100 Continue" in the buffered wfile, but the
+        # client waits for it before it sends the body
+        proceed = super().handle_expect_100()
+        self.wfile.flush()
+        return proceed
 
     def _send_json(self, status: int, doc) -> None:
         self._send_text(status, json.dumps(doc), "application/json; charset=utf-8")
@@ -366,6 +417,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -373,8 +426,9 @@ class _Handler(BaseHTTPRequestHandler):
         token = self.service.config.token
         if token is None:
             return
-        supplied = self.headers.get("Authorization", "")
-        if supplied != f"Bearer {token}":
+        # headers arrive latin-1 decoded, so this recovers the bytes sent
+        supplied = self.headers.get("Authorization", "").encode("latin-1")
+        if not hmac.compare_digest(supplied, f"Bearer {token}".encode("utf-8")):
             raise _HttpError(401, "missing or invalid bearer token")
 
     def _read_body(self) -> str:
@@ -382,7 +436,15 @@ class _Handler(BaseHTTPRequestHandler):
         if not length.isdecimal():
             self.close_connection = True  # the body's end is unknown
             raise _HttpError(400, "Content-Length must be a non-negative integer")
-        raw = self.rfile.read(int(length))
+        # the length check comes first: int() refuses over 4,300 digits
+        if len(length) > len(str(MAX_BODY_BYTES)) or int(length) > MAX_BODY_BYTES:
+            self.close_connection = True  # the body stays unread
+            raise _HttpError(413, f"body over {MAX_BODY_BYTES} bytes")
+        size = int(length)
+        raw = self.rfile.read(size)
+        if len(raw) < size:
+            self.close_connection = True  # the client hung up mid-body
+            raise _HttpError(400, "body shorter than Content-Length")
         if not raw.strip():
             raise _HttpError(400, "empty body")
         try:
@@ -435,6 +497,8 @@ class _Handler(BaseHTTPRequestHandler):
                 raise _HttpError(404, "no such resource")
         except _HttpError as err:
             self._send_json(err.status, {"error": err.message})
+        except TimeoutError:
+            raise  # handle_one_request drops the connection without a reply
         except TriageError as err:
             # strict-mode parse or model validation failures surface here
             status = 400 if isinstance(err, ModelFormatError) else 422

@@ -1,8 +1,13 @@
 """Service tests: HTTP endpoints, durability, and verdict consistency."""
 
+import http.client
 import json
+import logging
+import os
 import socket
+import stat
 import threading
+import time
 import urllib.error
 import urllib.request
 from dataclasses import replace
@@ -22,10 +27,12 @@ from proctriage.features import (
     dataset_from_csv,
 )
 from proctriage.service import (
+    MAX_BODY_BYTES,
     SampleRecord,
     SampleStore,
     Service,
     ServiceConfig,
+    _Handler,
     make_server,
     record_from_dict,
     record_to_dict,
@@ -219,6 +226,55 @@ def test_bad_content_length_is_400_and_closes(live, length):
     assert b"Content-Length must be a non-negative integer" in reply
 
 
+def _port(base):
+    return int(base.rsplit(":", 1)[1])
+
+
+def _read_to_eof(sock):
+    reply = b""
+    while chunk := sock.recv(4096):
+        reply += chunk
+    return reply
+
+
+@pytest.mark.parametrize("length", [str(10**12), "9" * 5000], ids=["10^12", "5000-digits"])
+def test_oversized_content_length_is_413_and_closes(live, length):
+    base, _ = live
+    smuggled = b"GET /v1/model HTTP/1.1\r\nHost: t\r\n\r\n"  # must not be served
+    with socket.create_connection(("127.0.0.1", _port(base)), timeout=3) as sock:
+        sock.sendall(f"POST /v1/classify HTTP/1.1\r\nHost: t\r\n"
+                     f"Content-Length: {length}\r\n\r\n".encode() + smuggled)
+        reply = _read_to_eof(sock)
+    assert reply.startswith(b"HTTP/1.1 413 ")
+    assert b"Connection: close\r\n" in reply
+    assert f"body over {MAX_BODY_BYTES} bytes".encode() in reply
+    assert reply.count(b"HTTP/1.1 ") == 1
+
+
+def test_stalled_body_is_dropped_without_a_reply(live, monkeypatch, caplog):
+    base, service = live
+    assert _Handler.timeout is not None
+    monkeypatch.setattr(_Handler, "timeout", 0.3)
+    with socket.create_connection(("127.0.0.1", _port(base)), timeout=5) as sock:
+        sock.sendall(b"POST /v1/submit HTTP/1.1\r\nHost: t\r\n"
+                     b"Content-Length: 100\r\n\r\nonly ten b")
+        assert _read_to_eof(sock) == b""
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(service.store) == 0
+
+
+def test_body_cut_short_by_hangup_is_400(live):
+    base, service = live
+    with socket.create_connection(("127.0.0.1", _port(base)), timeout=3) as sock:
+        sock.sendall(b"POST /v1/submit HTTP/1.1\r\nHost: t\r\n"
+                     b"Content-Length: 100\r\n\r\nonly ten b")
+        sock.shutdown(socket.SHUT_WR)
+        reply = _read_to_eof(sock)
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert b"body shorter than Content-Length" in reply
+    assert len(service.store) == 0
+
+
 def test_duplicate_submissions_get_distinct_ids(live, sandbox_host_text):
     base, _ = live
     _, a = _request(base, "POST", "/v1/submit", sandbox_host_text)
@@ -238,12 +294,63 @@ def test_token_auth(tmp_path):
         assert status == 401
         status, _ = _request(base, "GET", "/v1/model", token="wrong")
         assert status == 401
+        status, _ = _request(base, "GET", "/v1/model", token="s\u00e9same")  # not ASCII
+        assert status == 401
         status, doc = _request(base, "GET", "/v1/model", token="sesame")
         assert status == 200
         assert doc == {"active": False}
     finally:
         server.shutdown()
         server.server_close()
+
+
+# -- response framing ------------------------------------------------------------
+
+def test_keep_alive_requests_are_not_held_for_a_delayed_ack(live, sandbox_host_text):
+    base, _ = live
+    conn = http.client.HTTPConnection("127.0.0.1", _port(base), timeout=10)
+    try:
+        t0 = time.perf_counter()
+        for _ in range(100):  # a 40 ms delayed-ACK stall each would take 4 s
+            conn.request("POST", "/v1/classify", body=sandbox_host_text.encode())
+            resp = conn.getresponse()
+            assert resp.status == 200 and json.loads(resp.read())["features"]
+        assert time.perf_counter() - t0 < 2.0
+    finally:
+        conn.close()
+
+
+def test_expect_100_continue_is_answered_before_the_body(live, sandbox_host_text):
+    base, _ = live
+    body = sandbox_host_text.encode()
+    with socket.create_connection(("127.0.0.1", _port(base)), timeout=1) as sock:
+        sock.sendall(f"POST /v1/classify HTTP/1.1\r\nHost: t\r\nConnection: close\r\n"
+                     f"Expect: 100-continue\r\nContent-Length: {len(body)}\r\n\r\n".encode())
+        interim = sock.recv(4096)
+        assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.sendall(body)
+        reply = _read_to_eof(sock)
+    assert reply.startswith(b"HTTP/1.1 200 ")
+    assert json.loads(reply.split(b"\r\n\r\n", 1)[1])["features"]
+
+
+def test_large_response_arrives_whole_on_a_keep_alive_connection(live, safe_host_text):
+    base, service = live
+    ids = [service.submit(safe_host_text).id for _ in range(12)]
+    conn = http.client.HTTPConnection("127.0.0.1", _port(base), timeout=10)
+    try:
+        conn.request("GET", "/v1/samples")
+        resp = conn.getresponse()
+        payload = resp.read()
+        sock = conn.sock
+        assert resp.status == 200 and len(payload) > 64 * 1024
+        assert [doc["id"] for doc in json.loads(payload)] == ids
+        conn.request("GET", "/v1/model")
+        resp = conn.getresponse()
+        assert resp.status == 200 and json.loads(resp.read()) == {"active": False}
+        assert conn.sock is sock  # the same connection answered both
+    finally:
+        conn.close()
 
 
 # -- labeling --------------------------------------------------------------------
@@ -482,6 +589,36 @@ def test_torn_tail_line_is_tolerated(tmp_path, sandbox_host_text):
 
     svc2 = Service(ServiceConfig(data_dir=tmp_path, port=0))
     assert [r.id for r in svc2.samples()] == ids
+
+
+def test_record_after_a_torn_tail_survives_restart(tmp_path, sandbox_host_text):
+    config = ServiceConfig(data_dir=tmp_path, port=0)
+    first = Service(config).submit(sandbox_host_text).id
+    log = next((tmp_path / "samples").glob("samples-*.jsonl"))
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write('{"id": "truncated-snapsh')  # crash mid-write, then a restart
+
+    second = Service(config).submit(sandbox_host_text).id  # acknowledged
+    assert [r.id for r in Service(config).samples()] == [first, second]
+
+
+def test_fsyncs_cover_new_files_and_renames_but_not_each_request(tmp_path, monkeypatch):
+    synced = []
+    real_fsync = os.fsync
+
+    def spy(fd):
+        synced.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    Service(ServiceConfig(data_dir=tmp_path, port=0)).activate_model(_toy_tree_doc())
+    assert synced == ["file", "dir"]  # model.json.tmp, then the rename
+
+    synced.clear()
+    store = SampleStore(tmp_path / "samples")
+    for n in range(3):
+        store.append(SampleRecord(id=f"r{n}", received_at=1_700_000_000.0, raw_text="x"))
+    assert synced == ["file", "dir", "file", "file"]  # the day file is created once
 
 
 def test_store_snapshot_semantics(tmp_path):
