@@ -212,20 +212,6 @@ def test_undecodable_body_is_400(live):
     assert status == 400
 
 
-@pytest.mark.parametrize("length", ["abc", "-1"])
-def test_bad_content_length_is_400_and_closes(live, length):
-    base, _ = live
-    port = int(base.rsplit(":", 1)[1])
-    with socket.create_connection(("127.0.0.1", port), timeout=3) as sock:
-        sock.sendall(f"POST /v1/classify HTTP/1.1\r\nHost: t\r\n"
-                     f"Content-Length: {length}\r\n\r\nbody".encode())
-        reply = b""
-        while chunk := sock.recv(4096):  # the server must answer, then hang up
-            reply += chunk
-    assert reply.startswith(b"HTTP/1.1 400 ")
-    assert b"Content-Length must be a non-negative integer" in reply
-
-
 def _port(base):
     return int(base.rsplit(":", 1)[1])
 
@@ -235,6 +221,17 @@ def _read_to_eof(sock):
     while chunk := sock.recv(4096):
         reply += chunk
     return reply
+
+
+@pytest.mark.parametrize("length", ["abc", "-1"])
+def test_bad_content_length_is_400_and_closes(live, length):
+    base, _ = live
+    with socket.create_connection(("127.0.0.1", _port(base)), timeout=3) as sock:
+        sock.sendall(f"POST /v1/classify HTTP/1.1\r\nHost: t\r\n"
+                     f"Content-Length: {length}\r\n\r\nbody".encode())
+        reply = _read_to_eof(sock)  # the server must answer, then hang up
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert b"Content-Length must be a non-negative integer" in reply
 
 
 @pytest.mark.parametrize("length", [str(10**12), "9" * 5000], ids=["10^12", "5000-digits"])
