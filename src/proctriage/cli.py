@@ -229,11 +229,18 @@ def _cmd_export_tree(args) -> int:
     return 0
 
 
+def _listen_address(text: str) -> tuple[str, int]:
+    """HOST:PORT as (host, port); a port outside 0-65535 is a usage error."""
+    host, _, port = text.rpartition(":")
+    if not port.isdecimal() or int(port) > 65535:
+        raise argparse.ArgumentTypeError(f"port must be an integer from 0 to 65535: {text!r}")
+    return host or "127.0.0.1", int(port)
+
+
 def _cmd_serve(args) -> int:
-    host, _, port = args.listen.rpartition(":")
-    config = ServiceConfig(data_dir=args.data_dir, host=host or "127.0.0.1",
-                           port=int(port), token=args.token, strict=args.strict,
-                           model_path=args.model_file)
+    host, port = args.listen
+    config = ServiceConfig(data_dir=args.data_dir, host=host, port=port, token=args.token,
+                           strict=args.strict, model_path=args.model_file)
     run_service(config)
     return 0
 
@@ -312,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("serve", _cmd_serve, "run the collection/classification service")
     p.add_argument("model_file", nargs="?", help="model JSON to activate at start")
     p.add_argument("--data-dir", required=True)
-    p.add_argument("--listen", default="127.0.0.1:8750", help="HOST:PORT, port 0 for any")
+    p.add_argument("--listen", default="127.0.0.1:8750", type=_listen_address,
+                   help="HOST:PORT, port 0 for any")
     p.add_argument("--token", default=None, help="require this bearer token")
     p.add_argument("--strict", action="store_true", help="reject unparseable submissions")
 
@@ -323,10 +331,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TriageError as err:
-        print(f"{type(err).__name__}: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (TriageError, OSError, UnicodeDecodeError) as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 1
 

@@ -295,6 +295,8 @@ def tree_from_dict(doc: dict) -> DecisionTreeModel:
         raise ModelFormatError(f"not a {TREE_SCHEMA_VERSION} document")
     try:
         cfg = doc.get("config", {})
+        if not isinstance(cfg, dict):
+            raise TypeError(f"config is {type(cfg).__name__}, not an object")
         config = TreeConfig(max_depth=cfg.get("max_depth"),
                             min_samples_split=int(cfg.get("min_samples_split", 2)))
         return DecisionTreeModel(

@@ -157,6 +157,8 @@ def record_to_dict(record: SampleRecord) -> dict:
 
 
 def record_from_dict(doc: dict) -> SampleRecord:
+    if not isinstance(doc, dict):
+        raise TypeError(f"record is {type(doc).__name__}, not an object")
     features, predicted = doc.get("features"), doc.get("predicted")
     human_label = doc.get("human_label")
     return SampleRecord(
@@ -196,8 +198,6 @@ class SampleStore:
         self._lock = threading.Lock()
         # keeps first-submission order: re-assigning an id keeps its place
         self._records: dict[str, SampleRecord] = {}
-        # day files known to end in a newline: written whole by this process
-        self._whole: set[Path] = set()
         self._reload()
 
     def _reload(self) -> None:
@@ -219,27 +219,16 @@ class SampleStore:
         line = json.dumps(record_to_dict(record), separators=(",", ":")) + "\n"
         with self._lock:
             day = time.strftime("%Y%m%d", time.gmtime(record.received_at))
-            path = self.root / f"samples-{day}.jsonl"
-            created = not path.exists()
-            if path not in self._whole and not created and not self._ends_in_newline(path):
-                line = "\n" + line
-            self._whole.discard(path)  # a failed write below may leave a torn line
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write(line)
+            with open(self.root / f"samples-{day}.jsonl", "ab+") as fh:
+                size = fh.seek(0, os.SEEK_END)
+                if size and os.pread(fh.fileno(), 1, size - 1) != b"\n":
+                    line = "\n" + line  # end the torn line a crash left
+                fh.write(line.encode("utf-8"))
                 fh.flush()
                 os.fsync(fh.fileno())
-            if created:
+            if not size:  # new, or left empty by a crash before its entry was durable
                 _fsync_dir(self.root)
-            self._whole.add(path)
             self._records[record.id] = record
-
-    @staticmethod
-    def _ends_in_newline(path: Path) -> bool:
-        with open(path, "rb") as fh:
-            if fh.seek(0, os.SEEK_END) == 0:
-                return True
-            fh.seek(-1, os.SEEK_END)
-            return fh.read(1) == b"\n"
 
     def get(self, record_id: str) -> SampleRecord | None:
         with self._lock:
@@ -376,10 +365,59 @@ _LABEL_PATH = re.compile(r"^/v1/samples/([0-9a-fA-F-]+)/label$")
 
 
 class _HttpError(Exception):
-    def __init__(self, status: int, message: str):
+    def __init__(self, status: int, message: str, **headers: str):
         super().__init__(message)
         self.status = status
         self.message = message
+        self.headers = headers
+
+
+def _label_reply(h: _Handler, record_id: str) -> dict:
+    value = h._read_json().get("label")
+    if value not in (0, 1) or isinstance(value, bool):
+        raise _HttpError(400, "label must be 0 or 1")
+    try:
+        record = h.service.label(record_id, Label(value))
+    except KeyError:
+        raise _HttpError(404, f"no sample {record_id}") from None
+    return record_to_dict(record)
+
+
+def _samples_reply(h: _Handler) -> list:
+    params = parse_qs(urlsplit(h.path).query)
+    labeled = None
+    if "labeled" in params:
+        flag = params["labeled"][-1].lower()
+        if flag in ("true", "1"):
+            labeled = True
+        elif flag in ("false", "0"):
+            labeled = False
+        else:
+            raise _HttpError(400, "labeled must be true or false")
+    return [record_to_dict(r) for r in h.service.samples(labeled)]
+
+
+# path, or a pattern whose groups are passed on -> {method -> reply}.  A reply
+# gets the handler and returns the JSON document, or the text of the CSV route.
+_ROUTES: dict[str | re.Pattern, dict[str, Callable[..., dict | list | str]]] = {
+    "/v1/submit": {"POST": lambda h: submit_response(h.service.submit(h._read_body()))},
+    "/v1/classify": {"POST": lambda h: h.service.classify(h._read_body())},
+    "/v1/model": {"POST": lambda h: h.service.activate_model(h._read_json()),
+                  "GET": lambda h: h.service.model_info()},
+    "/v1/samples": {"GET": _samples_reply},
+    "/v1/export.csv": {"GET": lambda h: h.service.export_dataset()},
+    _LABEL_PATH: {"POST": _label_reply},
+}
+
+
+def _route(path: str) -> tuple[dict, tuple[str, ...]] | None:
+    """The table entry for ``path`` and the groups its pattern captured."""
+    if path in _ROUTES:
+        return _ROUTES[path], ()
+    for key, methods in _ROUTES.items():
+        if isinstance(key, re.Pattern) and (m := key.match(path)):
+            return methods, m.groups()
+    return None
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -409,14 +447,16 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.flush()
         return proceed
 
-    def _send_json(self, status: int, doc) -> None:
-        self._send_text(status, json.dumps(doc), "application/json; charset=utf-8")
+    def _send_json(self, status: int, doc, **headers: str) -> None:
+        self._send_text(status, json.dumps(doc), "application/json; charset=utf-8", **headers)
 
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
+    def _send_text(self, status: int, text: str, content_type: str, **headers: str) -> None:
         body = text.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        for name, value in headers.items():
+            self.send_header(name, value)
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
@@ -465,38 +505,23 @@ class _Handler(BaseHTTPRequestHandler):
 
     # dispatch
 
-    def do_POST(self):  # noqa: N802 (http.server API)
-        self._dispatch("POST")
-
-    def do_GET(self):  # noqa: N802
-        self._dispatch("GET")
-
-    def _dispatch(self, method: str) -> None:
+    def _dispatch(self) -> None:
+        method = self.command
         try:
             self._check_auth()
-            parts = urlsplit(self.path)
-            route = (method, parts.path)
-            if route == ("POST", "/v1/submit"):
-                self._handle_submit()
-            elif route == ("POST", "/v1/classify"):
-                self._handle_classify()
-            elif route == ("POST", "/v1/model"):
-                self._handle_activate()
-            elif route == ("GET", "/v1/model"):
-                self._send_json(200, self.service.model_info())
-            elif route == ("GET", "/v1/samples"):
-                self._handle_samples(parts.query)
-            elif route == ("GET", "/v1/export.csv"):
-                self._send_text(200, self.service.export_dataset(), "text/csv; charset=utf-8")
-            elif method == "POST" and (m := _LABEL_PATH.match(parts.path)):
-                self._handle_label(m.group(1))
-            elif parts.path in ("/v1/submit", "/v1/classify", "/v1/model",
-                                "/v1/samples", "/v1/export.csv"):
-                raise _HttpError(405, f"{method} not supported here")
-            else:
+            route = _route(urlsplit(self.path).path)
+            if route is None:
                 raise _HttpError(404, "no such resource")
+            methods, groups = route
+            if method not in methods:
+                raise _HttpError(405, f"{method} not supported here", Allow=", ".join(methods))
+            reply = methods[method](self, *groups)
+            if isinstance(reply, str):
+                self._send_text(200, reply, "text/csv; charset=utf-8")
+            else:
+                self._send_json(200, reply)
         except _HttpError as err:
-            self._send_json(err.status, {"error": err.message})
+            self._send_json(err.status, {"error": err.message}, **err.headers)
         except TimeoutError:
             raise  # handle_one_request drops the connection without a reply
         except TriageError as err:
@@ -507,41 +532,7 @@ class _Handler(BaseHTTPRequestHandler):
             logger.exception("unhandled error serving %s %s", method, self.path)
             self._send_json(500, {"error": "internal error"})
 
-    def _handle_submit(self) -> None:
-        record = self.service.submit(self._read_body())
-        self._send_json(200, submit_response(record))
-
-    def _handle_classify(self) -> None:
-        self._send_json(200, self.service.classify(self._read_body()))
-
-    def _handle_activate(self) -> None:
-        info = self.service.activate_model(self._read_json())
-        self._send_json(200, info)
-
-    def _handle_label(self, record_id: str) -> None:
-        doc = self._read_json()
-        value = doc.get("label")
-        if value not in (0, 1) or isinstance(value, bool):
-            raise _HttpError(400, "label must be 0 or 1")
-        try:
-            record = self.service.label(record_id, Label(value))
-        except KeyError:
-            raise _HttpError(404, f"no sample {record_id}") from None
-        self._send_json(200, record_to_dict(record))
-
-    def _handle_samples(self, query: str) -> None:
-        params = parse_qs(query)
-        labeled = None
-        if "labeled" in params:
-            flag = params["labeled"][-1].lower()
-            if flag in ("true", "1"):
-                labeled = True
-            elif flag in ("false", "0"):
-                labeled = False
-            else:
-                raise _HttpError(400, "labeled must be true or false")
-        records = self.service.samples(labeled)
-        self._send_json(200, [record_to_dict(r) for r in records])
+    do_GET = do_POST = _dispatch  # noqa: N815 (http.server API)
 
 
 def make_server(service: Service) -> ThreadingHTTPServer:

@@ -86,6 +86,14 @@ def test_usage_error_is_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("listen", ["127.0.0.1:abc", "127.0.0.1:99999", "127.0.0.1:"])
+def test_bad_listen_port_is_usage_error(capsys, tmp_path, listen):
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--data-dir", str(tmp_path), "--listen", listen])
+    assert exc.value.code == 2
+    assert "port must be an integer from 0 to 65535" in capsys.readouterr().err
+
+
 # -- datagen / stats / split ------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -279,6 +287,18 @@ def test_classify_bad_model_file_is_error(capsys, tmp_path):
     code, _, err = run(capsys, "classify", str(bad), "--in", f"{FIX}/safe_host.txt")
     assert code == 1
     assert "ModelFormatError" in err
+
+
+@pytest.mark.parametrize("command", [
+    "parse --in {bad}", "featurize --in {bad}", "stats --in {bad}",
+    "classify {bad} --in tests/fixtures/safe_host.txt",
+])
+def test_non_utf8_input_is_error(capsys, tmp_path, command):
+    bad = tmp_path / "latin1"
+    bad.write_bytes("PID\tNAME\n1\tcaf\xe9.exe\n".encode("latin-1"))
+    code, _, err = run(capsys, *command.format(bad=bad).split())
+    assert code == 1
+    assert err.startswith("UnicodeDecodeError: ")
 
 
 # -- export-tree -------------------------------------------------------------------

@@ -32,6 +32,7 @@ from proctriage.service import (
     SampleStore,
     Service,
     ServiceConfig,
+    _ROUTES,
     _Handler,
     make_server,
     record_from_dict,
@@ -460,6 +461,25 @@ def test_wrong_method_is_405(live, sandbox_host_text):
     assert status == 405
 
 
+def test_every_route_answers_its_methods_and_405s_the_rest_with_allow(live):
+    base, _ = live
+    for key, methods in _ROUTES.items():
+        path = key if isinstance(key, str) else "/v1/samples/0123abcd/label"
+        assert isinstance(key, str) or key.match(path)
+        for method in ("GET", "POST"):
+            data = b"" if method == "POST" else None
+            req = urllib.request.Request(base + path, data=data, method=method)
+            try:
+                with urllib.request.urlopen(req, timeout=10) as resp:
+                    status, allow = resp.status, resp.headers["Allow"]
+            except urllib.error.HTTPError as err:
+                status, allow = err.code, err.headers["Allow"]
+            if method in methods:
+                assert status not in (404, 405), (method, path)
+            else:
+                assert (status, allow) == (405, ", ".join(methods)), (method, path)
+
+
 # -- model management ---------------------------------------------------------------
 
 def test_bad_model_doc_is_400_and_previous_model_survives(live, sandbox_host_text):
@@ -513,6 +533,9 @@ BAD_MODELS = {
         _toy_tree_doc, lambda d: _leftmost_leaf(d["root"]).update(class_counts=[0, 0])),
     "tree-900-deep": lambda: _chain_tree(900),
     "tree-1500-deep": lambda: _chain_tree(1500),
+    "tree-config-null": lambda: _edited(_toy_tree_doc, lambda d: d.update(config=None)),
+    "tree-config-list": lambda: _edited(_toy_tree_doc, lambda d: d.update(config=[])),
+    "tree-config-string": lambda: _edited(_toy_tree_doc, lambda d: d.update(config="x")),
     "ann-scaler-length-2": lambda: _edited(
         _toy_ann_doc, lambda d: d["scaler"].update(mins=[9.0, 1.0], maxs=[305.0, 17.0])),
     "ann-nan-threshold":
@@ -586,6 +609,19 @@ def test_torn_tail_line_is_tolerated(tmp_path, sandbox_host_text):
 
     svc2 = Service(ServiceConfig(data_dir=tmp_path, port=0))
     assert [r.id for r in svc2.samples()] == ids
+
+
+def test_non_object_store_lines_are_skipped(tmp_path, caplog):
+    store = SampleStore(tmp_path)
+    store.append(SampleRecord(id="good", received_at=1_700_000_000.0, raw_text="x"))
+    log = next(tmp_path.glob("samples-*.jsonl"))
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write("null\n[1]\n42\n")
+
+    with caplog.at_level(logging.WARNING, logger="proctriage.service"):
+        reopened = SampleStore(tmp_path)
+    assert [r.id for r in reopened.all_records()] == ["good"]
+    assert sum("unreadable row skipped" in m for m in caplog.messages) == 3
 
 
 def test_record_after_a_torn_tail_survives_restart(tmp_path, sandbox_host_text):
