@@ -61,7 +61,6 @@ from .features import (
     LabeledDataset,
     LabeledSample,
     ScalerParams,
-    apply_scaler,
     compute_stats,
     dataset_from_csv,
     dataset_to_csv,
@@ -116,9 +115,9 @@ __all__ = [
     "MalformedDatasetFile", "MalformedRow", "ModelFormatError", "TriageError",
     "UnrecognizedFormat",
     "FEATURE_NAMES", "FeatureVector", "Label", "LabeledDataset", "LabeledSample",
-    "ScalerParams", "apply_scaler", "compute_stats", "dataset_from_csv",
-    "dataset_to_csv", "featurize", "fit_scaler", "format_stats", "load_dataset",
-    "save_dataset", "split_dataset",
+    "ScalerParams", "compute_stats", "dataset_from_csv", "dataset_to_csv",
+    "featurize", "fit_scaler", "format_stats", "load_dataset", "save_dataset",
+    "split_dataset",
     "ClassMetrics", "ConfusionMatrix", "EvalReport", "accuracy",
     "aggregate_metrics", "class_metrics", "confusion", "evaluate_predictions",
     "format_report", "regression_errors", "report_to_dict",

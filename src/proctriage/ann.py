@@ -101,19 +101,17 @@ def forward(model: NeuralNetModel, scaled_input) -> float:
 def bce_loss(probs, labels) -> float:
     """Mean binary cross-entropy with probabilities clamped away from 0/1."""
     p = np.asarray(probs, dtype=float)
-    y = np.asarray([int(l) for l in labels], dtype=float)
+    y = np.asarray(labels, dtype=float)
     if p.shape != y.shape:
         raise LengthMismatch(f"{p.shape[0]} probabilities vs {y.shape[0]} labels")
     p = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-def _gradients(model: NeuralNetModel, x: np.ndarray, y: np.ndarray):
-    """Backprop the mean-BCE loss; returns (grads_w, grads_b, probs)."""
-    acts = _forward_batch(model, x)
-    n = x.shape[0]
-    probs = acts[-1]
-    delta = (probs - y) / n          # d(mean BCE)/d(pre-sigmoid output)
+def _gradients(model: NeuralNetModel, acts: list[np.ndarray], y: np.ndarray):
+    """Backprop the mean-BCE loss from one forward pass's activations;
+    returns (grads_w, grads_b)."""
+    delta = (acts[-1] - y) / len(y)  # d(mean BCE)/d(pre-sigmoid output)
     grads_w, grads_b = [], []
     for layer in range(len(model.weights) - 1, -1, -1):
         grads_w.insert(0, acts[layer].T @ delta)
@@ -121,7 +119,7 @@ def _gradients(model: NeuralNetModel, x: np.ndarray, y: np.ndarray):
         if layer > 0:
             a_prev = acts[layer]
             delta = (delta @ model.weights[layer].T) * a_prev * (1.0 - a_prev)
-    return grads_w, grads_b, probs
+    return grads_w, grads_b
 
 
 def train_ann(train: LabeledDataset, config: AnnConfig | None = None
@@ -130,7 +128,8 @@ def train_ann(train: LabeledDataset, config: AnnConfig | None = None
 
     The min-max scaler is fitted here, on the training set only, and
     stored in the returned model.  The history records loss after each
-    epoch's update.
+    epoch's update; that epoch's forward pass also feeds the next
+    epoch's gradients.
     """
     if not len(train):
         raise DatasetTooSmall("cannot train a network on an empty dataset")
@@ -141,14 +140,16 @@ def train_ann(train: LabeledDataset, config: AnnConfig | None = None
     y = train.label_array().astype(float).reshape(-1, 1)
 
     history = LossHistory()
+    acts = _forward_batch(model, x)
     for _ in range(config.epochs):
-        grads_w, grads_b, _ = _gradients(model, x, y)
+        grads_w, grads_b = _gradients(model, acts, y)
         for w, gw in zip(model.weights, grads_w):
             w -= config.learning_rate * gw
         for b, gb in zip(model.biases, grads_b):
             b -= config.learning_rate * gb
-        probs = _forward_batch(model, x)[-1]
-        history.bce.append(bce_loss(probs.ravel(), y.ravel().astype(int)))
+        acts = _forward_batch(model, x)
+        probs = acts[-1]
+        history.bce.append(bce_loss(probs.ravel(), y.ravel()))
         history.mse.append(float(np.mean((probs - y) ** 2)))
     return model, history
 
@@ -176,9 +177,8 @@ def gradient_check(model: NeuralNetModel, sample: LabeledSample, step: float = 1
         x = model.scaler.transform(x)
     x = x.reshape(1, -1)
     y = np.array([[float(sample.label)]])
-    label_list = [int(sample.label)]
 
-    grads_w, grads_b, _ = _gradients(model, x, y)
+    grads_w, grads_b = _gradients(model, _forward_batch(model, x), y)
     analytic = grads_w + grads_b
     params = list(model.weights) + list(model.biases)
 
@@ -189,9 +189,9 @@ def gradient_check(model: NeuralNetModel, sample: LabeledSample, step: float = 1
         for i in range(flat_theta.size):
             orig = flat_theta[i]
             flat_theta[i] = orig + step
-            lo_hi = bce_loss([forward(model, x[0])], label_list)
+            lo_hi = bce_loss([forward(model, x[0])], y[0])
             flat_theta[i] = orig - step
-            lo_lo = bce_loss([forward(model, x[0])], label_list)
+            lo_lo = bce_loss([forward(model, x[0])], y[0])
             flat_theta[i] = orig
             numeric = (lo_hi - lo_lo) / (2.0 * step)
             a = abs(flat_grad[i])

@@ -158,6 +158,10 @@ def generate_process_list(label: Label, seed: int = 0,
     """
     if profile is None:
         profile = SAFE_PROFILE if label == Label.TARGET else UNSAFE_PROFILE
+    owners_known = len(_SERVICE_OWNERS) + len(_USER_OWNER_POOL)
+    if profile.user_count.max > owners_known:
+        raise ValueError(f"user_count.max {profile.user_count.max} exceeds the "
+                         f"{owners_known} distinct owners a generated listing can show")
     rng = np.random.default_rng(seed)
     pc, uc = _draw_pair(rng, profile)
 

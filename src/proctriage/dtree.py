@@ -59,10 +59,13 @@ class DecisionTreeModel:
 
 
 def gini(counts: tuple[int, int]) -> float:
-    """Two-class gini impurity: 1 - p0^2 - p1^2, in [0, 0.5]."""
+    """Two-class gini impurity: 1 - p0^2 - p1^2, in [0, 0.5].
+
+    The counts may be integer arrays, for one impurity per element.
+    """
     n0, n1 = counts
     n = n0 + n1
-    if n == 0:
+    if np.any(n == 0):
         raise EmptyNode("gini of an empty node")
     p0 = n0 / n
     p1 = n1 / n
@@ -85,26 +88,20 @@ def _best_split_arrays(x: np.ndarray, y: np.ndarray):
     n = len(y)
     n1_total = int(y.sum())
     parent = gini((n - n1_total, n1_total))
+    nl = np.arange(1, n)             # left size after each sorted position
+    nr = n - nl
     best = None
     for f in range(x.shape[1]):
-        vals = x[:, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        sy = y[order]
-        cum1 = np.cumsum(sy)
-        for i in range(n - 1):
-            if sv[i] == sv[i + 1]:
-                continue
-            nl = i + 1
-            nr = n - nl
-            l1 = int(cum1[i])
-            l0 = nl - l1
-            r1 = n1_total - l1
-            r0 = nr - r1
-            weighted = (nl / n) * gini((l0, l1)) + (nr / n) * gini((r0, r1))
-            decrease = parent - weighted
-            if decrease > 0.0 and (best is None or decrease > best[2]):
-                best = (f, (sv[i] + sv[i + 1]) / 2.0, decrease)
+        order = np.argsort(x[:, f], kind="stable")
+        sv = x[order, f]
+        l1 = np.cumsum(y[order])[:-1]
+        r1 = n1_total - l1
+        weighted = (nl / n) * gini((nl - l1, l1)) + (nr / n) * gini((nr - r1, r1))
+        # no cut between equal values
+        decrease = np.where(sv[:-1] != sv[1:], parent - weighted, -np.inf)
+        i = int(np.argmax(decrease))  # the first of equal decreases
+        if decrease[i] > 0.0 and (best is None or decrease[i] > best[2]):
+            best = (f, (sv[i] + sv[i + 1]) / 2.0, float(decrease[i]))
     return best
 
 
@@ -112,9 +109,8 @@ def best_split(samples: list[LabeledSample]):
     """Best (feature, midpoint threshold, impurity decrease) for ``samples``."""
     if len(samples) < 2:
         raise ValueError("need at least two samples")
-    x = np.array([s.features.as_array() for s in samples])
-    y = np.array([int(s.label) for s in samples])
-    found = _best_split_arrays(x, y)
+    data = LabeledDataset(tuple(samples))
+    found = _best_split_arrays(data.feature_matrix(), data.label_array())
     if found is None:
         return None
     f, t, d = found
@@ -151,11 +147,9 @@ def train_tree(train: LabeledDataset, config: TreeConfig | None = None) -> Decis
     if not len(train):
         raise DatasetTooSmall("cannot train a tree on an empty dataset")
     config = config or TreeConfig()
-    x = train.feature_matrix()
-    y = train.label_array()
-    root = _grow(x, y, 0, config)
+    root = _grow(train.feature_matrix(), train.label_array(), 0, config)
     return DecisionTreeModel(root=root, config=config,
-                             n_samples=len(train), class_counts=train.class_counts())
+                             n_samples=len(train), class_counts=root.class_counts)
 
 
 def _descend(node: TreeNode, x: np.ndarray) -> TreeNode:
@@ -299,10 +293,12 @@ def tree_from_dict(doc: dict) -> DecisionTreeModel:
             raise TypeError(f"config is {type(cfg).__name__}, not an object")
         config = TreeConfig(max_depth=cfg.get("max_depth"),
                             min_samples_split=int(cfg.get("min_samples_split", 2)))
+        # export and model info name each split's feature from this list
+        if doc.get("feature_names", list(FEATURE_NAMES)) != list(FEATURE_NAMES):
+            raise ValueError(f"feature_names must be {list(FEATURE_NAMES)}")
         return DecisionTreeModel(
             root=_node_from_dict(doc["root"]),
             config=config,
-            feature_names=tuple(doc.get("feature_names", FEATURE_NAMES)),
             n_samples=int(doc.get("n_samples", 0)),
             class_counts=tuple(doc.get("class_counts", (0, 0))),
         )

@@ -76,9 +76,9 @@ class LabeledDataset:
         return iter(self.samples)
 
     def feature_matrix(self) -> np.ndarray:
-        if not self.samples:
-            return np.empty((0, len(FEATURE_NAMES)))
-        return np.array([s.features.as_array() for s in self.samples])
+        triples = [(s.features.process_count, s.features.user_count, s.features.ratio)
+                   for s in self.samples]
+        return np.array(triples, dtype=float).reshape(-1, len(FEATURE_NAMES))
 
     def label_array(self) -> np.ndarray:
         return np.array([int(s.label) for s in self.samples])
@@ -132,10 +132,6 @@ def fit_scaler(train: LabeledDataset) -> ScalerParams:
         raise DatasetTooSmall("cannot fit a scaler on an empty dataset")
     x = train.feature_matrix()
     return ScalerParams(mins=tuple(x.min(axis=0)), maxs=tuple(x.max(axis=0)))
-
-
-def apply_scaler(params: ScalerParams, v: FeatureVector) -> np.ndarray:
-    return params.transform(v.as_array())
 
 
 def split_dataset(data: LabeledDataset, train_fraction: float, seed: int,

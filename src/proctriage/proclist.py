@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import logging
 import re
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import EmptyListing, MalformedRow, UnrecognizedFormat
@@ -66,7 +65,6 @@ class ProcessList:
 
     entries: tuple[ProcessEntry, ...]
     source_id: str = ""
-    received_at: float = field(default_factory=time.time)
     format: str = TASKLIST_TABULAR
     warnings: tuple[str, ...] = ()
 

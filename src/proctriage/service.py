@@ -372,19 +372,41 @@ class _HttpError(Exception):
         self.headers = headers
 
 
-def _label_reply(h: _Handler, record_id: str) -> dict:
-    value = h._read_json().get("label")
+def _text(body: bytes) -> str:
+    """A listing body: not blank, and valid UTF-8."""
+    if not body.strip():
+        raise _HttpError(400, "empty body")
+    try:
+        return body.decode("utf-8")
+    except UnicodeDecodeError:
+        raise _HttpError(400, "body is not valid UTF-8") from None
+
+
+def _json(body: bytes) -> dict:
+    try:
+        doc = json.loads(_text(body))
+    except json.JSONDecodeError:
+        raise _HttpError(400, "body is not valid JSON") from None
+    except RecursionError:
+        raise _HttpError(400, "JSON nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise _HttpError(400, "JSON object expected")
+    return doc
+
+
+def _label_reply(service: Service, body: bytes, query: str, record_id: str) -> dict:
+    value = _json(body).get("label")
     if value not in (0, 1) or isinstance(value, bool):
         raise _HttpError(400, "label must be 0 or 1")
     try:
-        record = h.service.label(record_id, Label(value))
+        record = service.label(record_id, Label(value))
     except KeyError:
         raise _HttpError(404, f"no sample {record_id}") from None
     return record_to_dict(record)
 
 
-def _samples_reply(h: _Handler) -> list:
-    params = parse_qs(urlsplit(h.path).query)
+def _samples_reply(service: Service, body: bytes, query: str) -> list:
+    params = parse_qs(query)
     labeled = None
     if "labeled" in params:
         flag = params["labeled"][-1].lower()
@@ -394,18 +416,19 @@ def _samples_reply(h: _Handler) -> list:
             labeled = False
         else:
             raise _HttpError(400, "labeled must be true or false")
-    return [record_to_dict(r) for r in h.service.samples(labeled)]
+    return [record_to_dict(r) for r in service.samples(labeled)]
 
 
 # path, or a pattern whose groups are passed on -> {method -> reply}.  A reply
-# gets the handler and returns the JSON document, or the text of the CSV route.
+# gets (service, body bytes, query string, *groups) and returns the JSON
+# document, or the text of the CSV route.
 _ROUTES: dict[str | re.Pattern, dict[str, Callable[..., dict | list | str]]] = {
-    "/v1/submit": {"POST": lambda h: submit_response(h.service.submit(h._read_body()))},
-    "/v1/classify": {"POST": lambda h: h.service.classify(h._read_body())},
-    "/v1/model": {"POST": lambda h: h.service.activate_model(h._read_json()),
-                  "GET": lambda h: h.service.model_info()},
+    "/v1/submit": {"POST": lambda svc, body, _: submit_response(svc.submit(_text(body)))},
+    "/v1/classify": {"POST": lambda svc, body, _: svc.classify(_text(body))},
+    "/v1/model": {"POST": lambda svc, body, _: svc.activate_model(_json(body)),
+                  "GET": lambda svc, *_: svc.model_info()},
     "/v1/samples": {"GET": _samples_reply},
-    "/v1/export.csv": {"GET": lambda h: h.service.export_dataset()},
+    "/v1/export.csv": {"GET": lambda svc, *_: svc.export_dataset()},
     _LABEL_PATH: {"POST": _label_reply},
 }
 
@@ -447,6 +470,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.flush()
         return proceed
 
+    def send_error(self, code, message=None, explain=None):
+        # the errors the stdlib answers itself (a bad request line, an unknown
+        # method, oversized headers) are JSON too, and close as the stdlib's do
+        self.log_error("code %d, message %s", code, message)
+        self.close_connection = True
+        self._send_json(code, {"error": message or self.responses[code][0]})
+
     def _send_json(self, status: int, doc, **headers: str) -> None:
         self._send_text(status, json.dumps(doc), "application/json; charset=utf-8", **headers)
 
@@ -460,7 +490,8 @@ class _Handler(BaseHTTPRequestHandler):
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":  # a HEAD request only gets send_error's 501
+            self.wfile.write(body)
 
     def _check_auth(self) -> None:
         token = self.service.config.token
@@ -471,7 +502,8 @@ class _Handler(BaseHTTPRequestHandler):
         if not hmac.compare_digest(supplied, f"Bearer {token}".encode("utf-8")):
             raise _HttpError(401, "missing or invalid bearer token")
 
-    def _read_body(self) -> str:
+    def _read_body(self) -> bytes:
+        """The declared body, read whole so the next request starts after it."""
         length = (self.headers.get("Content-Length") or "0").strip()
         if not length.isdecimal():
             self.close_connection = True  # the body's end is unknown
@@ -485,37 +517,23 @@ class _Handler(BaseHTTPRequestHandler):
         if len(raw) < size:
             self.close_connection = True  # the client hung up mid-body
             raise _HttpError(400, "body shorter than Content-Length")
-        if not raw.strip():
-            raise _HttpError(400, "empty body")
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise _HttpError(400, "body is not valid UTF-8") from None
-
-    def _read_json(self) -> dict:
-        try:
-            doc = json.loads(self._read_body())
-        except json.JSONDecodeError:
-            raise _HttpError(400, "body is not valid JSON") from None
-        except RecursionError:
-            raise _HttpError(400, "JSON nested too deeply") from None
-        if not isinstance(doc, dict):
-            raise _HttpError(400, "JSON object expected")
-        return doc
+        return raw
 
     # dispatch
 
     def _dispatch(self) -> None:
         method = self.command
         try:
+            body = self._read_body()
             self._check_auth()
-            route = _route(urlsplit(self.path).path)
+            url = urlsplit(self.path)
+            route = _route(url.path)
             if route is None:
                 raise _HttpError(404, "no such resource")
             methods, groups = route
             if method not in methods:
                 raise _HttpError(405, f"{method} not supported here", Allow=", ".join(methods))
-            reply = methods[method](self, *groups)
+            reply = methods[method](self.service, body, url.query, *groups)
             if isinstance(reply, str):
                 self._send_text(200, reply, "text/csv; charset=utf-8")
             else:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from proctriage.ann import (
+    BCE_EPS,
     AnnConfig,
     NeuralNetModel,
     ann_from_dict,
@@ -19,6 +20,7 @@ from proctriage.ann import (
     sigmoid,
     train_ann,
 )
+from proctriage.datagen import GenConfig, generate_dataset
 from proctriage.errors import DatasetTooSmall, LengthMismatch, ModelFormatError
 from proctriage.features import (
     FeatureVector,
@@ -26,6 +28,7 @@ from proctriage.features import (
     LabeledDataset,
     LabeledSample,
     ScalerParams,
+    fit_scaler,
 )
 from proctriage.service import read_model_file
 
@@ -114,6 +117,54 @@ def test_history_records_post_update_loss():
     x = model.scaler.transform(data.feature_matrix())
     probs = np.array([forward(model, row) for row in x])
     assert bce_loss(probs, data.label_array()) == pytest.approx(history.bce[0], rel=1e-12)
+
+
+def _two_pass_training(train, config):
+    """Full-batch descent running one forward pass for the gradients and a
+    second, after the update, for the recorded loss, in every epoch."""
+    model = init_network(config)
+    model.scaler = fit_scaler(train)
+    x = model.scaler.transform(train.feature_matrix())
+    y = train.label_array().astype(float).reshape(-1, 1)
+
+    def forward_all():
+        acts = [x]
+        for w, b in zip(model.weights, model.biases):
+            acts.append(sigmoid(acts[-1] @ w + b))
+        return acts
+
+    bce, mse = [], []
+    for _ in range(config.epochs):
+        acts = forward_all()
+        delta = (acts[-1] - y) / x.shape[0]
+        grads_w, grads_b = [], []
+        for layer in range(len(model.weights) - 1, -1, -1):
+            grads_w.insert(0, acts[layer].T @ delta)
+            grads_b.insert(0, delta.sum(axis=0))
+            if layer > 0:
+                a_prev = acts[layer]
+                delta = (delta @ model.weights[layer].T) * a_prev * (1.0 - a_prev)
+        for w, gw in zip(model.weights, grads_w):
+            w -= config.learning_rate * gw
+        for b, gb in zip(model.biases, grads_b):
+            b -= config.learning_rate * gb
+        probs = forward_all()[-1]
+        p = np.clip(probs.ravel(), BCE_EPS, 1.0 - BCE_EPS)
+        t = np.asarray([int(v) for v in y.ravel()], dtype=float)
+        bce.append(float(-np.mean(t * np.log(p) + (1.0 - t) * np.log(1.0 - p))))
+        mse.append(float(np.mean((probs - y) ** 2)))
+    return model, bce, mse
+
+
+@pytest.mark.parametrize("lr", [0.1, 3.0])
+def test_training_equals_two_forward_passes_per_epoch(lr):
+    data = generate_dataset(GenConfig(n_safe=160, n_unsafe=40, seed=4))
+    config = AnnConfig(learning_rate=lr, epochs=60, seed=7)
+    model, history = train_ann(data, config)
+    ref_model, ref_bce, ref_mse = _two_pass_training(data, config)
+    assert history.bce == ref_bce and history.mse == ref_mse
+    for got, want in zip(model.parameters(), ref_model.parameters()):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_training_is_deterministic():

@@ -329,6 +329,17 @@ def test_export_tree_rejects_ann(capsys, dataset_csv, tmp_path):
     assert "ModelFormatError" in err
 
 
+@pytest.mark.parametrize("names", [["x"], "abc"], ids=["one-name", "string"])
+def test_export_tree_refuses_foreign_feature_names(capsys, tree_model, tmp_path, names):
+    doc = json.loads(tree_model.read_text())
+    doc["feature_names"] = names
+    bad = tmp_path / "tree.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "export-tree", str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith("ModelFormatError: ")
+
+
 # -- serve ---------------------------------------------------------------------------
 
 def test_serve_bad_model_file_is_error(capsys, tmp_path):

@@ -137,3 +137,19 @@ def test_listing_roundtrips_to_consistent_features():
         label = Label.SANDBOX if seed % 2 else Label.TARGET
         v = featurize(parse_process_list(generate_process_list(label, seed=seed)))
         assert v.ratio == v.process_count / v.user_count
+
+
+@pytest.mark.parametrize("label", list(Label))
+def test_listing_profile_with_more_users_than_owners_is_refused(label):
+    crowded = ClassProfile(process_count=FeatureProfile(min=60, max=80, mean=70.0, std=5.0),
+                           user_count=FeatureProfile(min=20, max=40, mean=30.0, std=5.0))
+    with pytest.raises(ValueError, match="exceeds the 17 distinct owners"):
+        generate_process_list(label, seed=0, profile=crowded)
+
+
+@pytest.mark.parametrize("label", list(Label))
+def test_listing_profile_at_the_owner_limit_is_realized(label):
+    full = ClassProfile(process_count=FeatureProfile(min=60, max=80, mean=70.0, std=5.0),
+                        user_count=FeatureProfile(min=17, max=17, mean=17.0, std=0.0))
+    text = generate_process_list(label, seed=0, profile=full)
+    assert featurize(parse_process_list(text)).user_count == 17

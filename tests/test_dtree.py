@@ -2,8 +2,9 @@
 
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proctriage.dtree import (
@@ -95,6 +96,51 @@ def test_best_split_none_when_indistinguishable():
 def test_best_split_requires_two_samples():
     with pytest.raises(ValueError):
         best_split([_mk(10, 1, Label.TARGET)])
+
+
+def _scalar_gini(n0, n1):
+    n = n0 + n1
+    p0 = n0 / n
+    p1 = n1 / n
+    return 1.0 - (p0 * p0 + p1 * p1)
+
+
+def _scalar_best_split(samples):
+    """The split search as one scalar gini per candidate threshold."""
+    x = np.array([s.features.as_array() for s in samples])
+    y = np.array([int(s.label) for s in samples])
+    n = len(y)
+    n1_total = int(y.sum())
+    parent = _scalar_gini(n - n1_total, n1_total)
+    best = None
+    for f in range(x.shape[1]):
+        vals = x[:, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        cum1 = np.cumsum(y[order])
+        for i in range(n - 1):
+            if sv[i] == sv[i + 1]:
+                continue
+            nl = i + 1
+            nr = n - nl
+            l1 = int(cum1[i])
+            l0 = nl - l1
+            r1 = n1_total - l1
+            r0 = nr - r1
+            weighted = (nl / n) * _scalar_gini(l0, l1) + (nr / n) * _scalar_gini(r0, r1)
+            decrease = parent - weighted
+            if decrease > 0.0 and (best is None or decrease > best[2]):
+                best = (f, float((sv[i] + sv[i + 1]) / 2.0), decrease)
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(3, 8), st.integers(1, 3), st.sampled_from(Label)),
+                     min_size=2, max_size=300))
+def test_best_split_equals_the_scalar_search_bit_for_bit(rows):
+    # small value ranges make equal values and equal decreases common
+    samples = [_mk(*r) for r in rows]
+    assert best_split(samples) == _scalar_best_split(samples)
 
 
 # -- training and prediction -------------------------------------------------

@@ -15,7 +15,6 @@ from proctriage.features import (
     LabeledDataset,
     LabeledSample,
     ScalerParams,
-    apply_scaler,
     compute_stats,
     dataset_from_csv,
     dataset_to_csv,
@@ -113,8 +112,8 @@ def test_fit_scaler_on_train_only():
 
 def test_scaler_clamps_out_of_range():
     params = ScalerParams(mins=(10.0, 1.0, 2.0), maxs=(110.0, 5.0, 22.0))
-    lo = apply_scaler(params, FeatureVector.from_counts(5, 1))
-    hi = apply_scaler(params, FeatureVector.from_counts(500, 2))
+    lo = params.transform(FeatureVector.from_counts(5, 1).as_array())
+    hi = params.transform(FeatureVector.from_counts(500, 2).as_array())
     assert lo[0] == 0.0
     assert hi[0] == 1.0 and hi[2] == 1.0
 
@@ -137,7 +136,7 @@ def test_scaler_output_always_in_unit_cube(pcs, ucs, probe_pc, probe_uc):
     rows = [(max(p, u), u, Label.TARGET) for p, u in zip(pcs[:n], ucs[:n])]
     params = fit_scaler(_dataset(rows))
     probe = FeatureVector.from_counts(max(probe_pc, probe_uc), probe_uc)
-    out = apply_scaler(params, probe)
+    out = params.transform(probe.as_array())
     assert out.shape == (3,)
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
 

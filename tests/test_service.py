@@ -4,6 +4,7 @@ import http.client
 import json
 import logging
 import os
+import re
 import socket
 import stat
 import threading
@@ -102,6 +103,11 @@ def live(tmp_path):
 @pytest.fixture
 def strict_live(tmp_path):
     yield from _serve(ServiceConfig(data_dir=tmp_path, port=0, strict=True))
+
+
+@pytest.fixture
+def token_live(tmp_path):
+    yield from _serve(ServiceConfig(data_dir=tmp_path, port=0, token="sesame"))
 
 
 # -- submission ---------------------------------------------------------------
@@ -271,6 +277,67 @@ def test_body_cut_short_by_hangup_is_400(live):
     assert reply.startswith(b"HTTP/1.1 400 ")
     assert b"body shorter than Content-Length" in reply
     assert len(service.store) == 0
+
+
+def _statuses_of(base, first, auth=""):
+    """Send ``first`` and then GET /v1/model on one connection; every status
+    the server sends back before it closes."""
+    second = f"GET /v1/model HTTP/1.1\r\nHost: t\r\n{auth}Connection: close\r\n\r\n"
+    with socket.create_connection(("127.0.0.1", _port(base)), timeout=3) as sock:
+        sock.sendall(first.encode() + second.encode())
+        reply = _read_to_eof(sock)
+    return [int(code) for code in re.findall(rb"HTTP/1\.1 (\d{3}) ", reply)]
+
+
+@pytest.mark.parametrize("first, status", [
+    ("POST /v1/nonsense", 404), ("POST /v1/export.csv", 405),
+    ("GET /v1/model", 200), ("GET /v1/samples", 200),
+])
+def test_a_body_the_reply_does_not_read_leaves_keep_alive_in_step(live, first, status):
+    base, _ = live
+    request = f"{first} HTTP/1.1\r\nHost: t\r\nContent-Length: 1\r\n\r\nx"
+    assert _statuses_of(base, request) == [status, 200]
+
+
+def test_a_401_leaves_keep_alive_in_step(token_live):
+    base, service = token_live
+    request = "POST /v1/submit HTTP/1.1\r\nHost: t\r\nContent-Length: 1\r\n\r\nx"
+    assert _statuses_of(base, request, auth="Authorization: Bearer sesame\r\n") == [401, 200]
+    assert len(service.store) == 0
+
+
+def test_bad_content_length_is_answered_before_auth_and_routing(token_live):
+    base, _ = token_live
+    request = "POST /v1/nonsense HTTP/1.1\r\nHost: t\r\nContent-Length: abc\r\n\r\n"
+    assert _statuses_of(base, request) == [400]  # then the connection closes
+
+
+@pytest.mark.parametrize("request_head, status", [
+    ("BREW /v1/model HTTP/1.1\r\nHost: t", 501),
+    ("HEAD /v1/model HTTP/1.1\r\nHost: t", 501),
+    ("GET /v1/model HTTP/1.1" + "\r\nX-Pad: 1" * 101, 431),
+], ids=["unknown-method", "head", "too-many-headers"])
+def test_errors_the_stdlib_raises_are_json_and_close(live, request_head, status):
+    base, _ = live
+    with socket.create_connection(("127.0.0.1", _port(base)), timeout=3) as sock:
+        sock.sendall(f"{request_head}\r\n\r\nGET /v1/model HTTP/1.1\r\n\r\n".encode())
+        head, _, body = _read_to_eof(sock).partition(b"\r\n\r\n")
+    lines = head.split(b"\r\n")
+    assert lines[0].startswith(f"HTTP/1.1 {status} ".encode())
+    assert b"Content-Type: application/json; charset=utf-8" in lines
+    assert b"Connection: close" in lines
+    if request_head.startswith("HEAD"):
+        assert body == b""  # a reply to HEAD has no body
+    else:
+        assert set(json.loads(body)) == {"error"}  # and nothing after it
+
+
+def test_a_request_line_without_a_readable_version_gets_a_json_body(live):
+    base, _ = live
+    with socket.create_connection(("127.0.0.1", _port(base)), timeout=3) as sock:
+        sock.sendall(b"GET /v1/model HTTP/1.1 extra\r\n\r\n")
+        reply = _read_to_eof(sock)  # HTTP/0.9 style, as the stdlib answers it
+    assert json.loads(reply) == {"error": "Bad request version ('extra')"}
 
 
 def test_duplicate_submissions_get_distinct_ids(live, sandbox_host_text):
@@ -536,6 +603,12 @@ BAD_MODELS = {
     "tree-config-null": lambda: _edited(_toy_tree_doc, lambda d: d.update(config=None)),
     "tree-config-list": lambda: _edited(_toy_tree_doc, lambda d: d.update(config=[])),
     "tree-config-string": lambda: _edited(_toy_tree_doc, lambda d: d.update(config="x")),
+    "tree-feature-names-short":
+        lambda: _edited(_toy_tree_doc, lambda d: d.update(feature_names=["x"])),
+    "tree-feature-names-string":
+        lambda: _edited(_toy_tree_doc, lambda d: d.update(feature_names="abc")),
+    "tree-feature-names-reordered": lambda: _edited(_toy_tree_doc, lambda d: d.update(
+        feature_names=["user_count", "process_count", "ratio"])),
     "ann-scaler-length-2": lambda: _edited(
         _toy_ann_doc, lambda d: d["scaler"].update(mins=[9.0, 1.0], maxs=[305.0, 17.0])),
     "ann-nan-threshold":
