@@ -17,6 +17,7 @@ from .features import FeatureVector, Label, LabeledDataset, LabeledSample, Scale
 
 ANN_SCHEMA_VERSION = "ann-v1"
 BCE_EPS = 1e-7
+INIT_RANGE = 0.5  # initial weights and biases are uniform in +/- this
 
 
 @dataclass
@@ -25,7 +26,6 @@ class AnnConfig:
     learning_rate: float = 0.1
     epochs: int = 500
     seed: int = 0
-    init_range: float = 0.5
 
     def __post_init__(self):
         if len(self.layer_sizes) < 2 or self.layer_sizes[0] != 3 or self.layer_sizes[-1] != 1:
@@ -34,8 +34,6 @@ class AnnConfig:
             raise ValueError("learning_rate must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.init_range < 0:
-            raise ValueError("init_range must be >= 0")
 
 
 @dataclass
@@ -74,12 +72,12 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def init_network(config: AnnConfig) -> NeuralNetModel:
-    """Fresh model with weights and biases uniform in +/- init_range."""
+    """Fresh model with weights and biases uniform in +/- INIT_RANGE."""
     rng = np.random.default_rng(config.seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(config.layer_sizes[:-1], config.layer_sizes[1:]):
-        weights.append(rng.uniform(-config.init_range, config.init_range, (fan_in, fan_out)))
-        biases.append(rng.uniform(-config.init_range, config.init_range, fan_out))
+        weights.append(rng.uniform(-INIT_RANGE, INIT_RANGE, (fan_in, fan_out)))
+        biases.append(rng.uniform(-INIT_RANGE, INIT_RANGE, fan_out))
     return NeuralNetModel(layer_sizes=tuple(config.layer_sizes), weights=weights,
                           biases=biases, seed=config.seed)
 
@@ -241,7 +239,8 @@ def ann_from_dict(doc: dict) -> NeuralNetModel:
                                seed=int(doc.get("seed", 0)))
     except ModelFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        # int() of a JSON number such as 1e999 (inf) overflows
         raise ModelFormatError(str(e)) from None
     if sizes[0] != 3 or sizes[-1] != 1 or min(sizes) < 1:
         raise ModelFormatError(f"layer sizes {list(sizes)} do not run from 3 inputs to 1 output")

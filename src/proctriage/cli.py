@@ -20,6 +20,7 @@ from .datagen import GenConfig, generate_dataset
 from .dtree import TreeConfig, export_tree, train_tree, tree_to_dict
 from .errors import MalformedDatasetFile, ModelFormatError, TriageError
 from .features import (
+    FeatureVector,
     Label,
     compute_stats,
     dataset_to_csv,
@@ -30,13 +31,15 @@ from .features import (
     split_dataset,
 )
 from .metrics import evaluate_predictions, format_report, report_to_dict
-from .proclist import PS_UNIX, TASKLIST_TABULAR, parse_process_list
+from .proclist import PS_UNIX, TASKLIST_TABULAR, ProcessList, parse_process_list
 from .service import Model, ServiceConfig, load_model, read_model_file, run_service, verdict_doc
 
 DEFAULT_SEED = 1337
 
 # command-line format names to parser constants
 _FORMAT_HINTS = {None: None, "tasklist": TASKLIST_TABULAR, "ps": PS_UNIX}
+# the lines a --pred or --actual file may hold
+_LABEL_LINES = {"0": Label.TARGET, "1": Label.SANDBOX}
 
 
 def _read_text(path: str) -> str:
@@ -53,6 +56,25 @@ def _write_json(path: str, doc) -> None:
     _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
+def _emit(args, doc, text: str) -> int:
+    """Write ``doc`` as JSON to --out if given, else print ``text``."""
+    if args.out:
+        _write_json(args.out, doc)
+    else:
+        print(text, end="")
+    return 0
+
+
+def _read_listing(args, fmt: str | None = None) -> ProcessList:
+    """Parse the listing --in names (- for stdin)."""
+    return parse_process_list(_read_text(args.infile), fmt=_FORMAT_HINTS[fmt],
+                              strict=args.strict, source_id=args.infile)
+
+
+def _features_line(v: FeatureVector) -> str:
+    return f"{v.process_count},{v.user_count},{v.ratio!r}"
+
+
 def _evaluate_on(model: Model, dataset):
     preds, probs = zip(*(model.predict(s.features) for s in dataset.samples))
     return evaluate_predictions(list(preds), [s.label for s in dataset.samples], list(probs))
@@ -61,50 +83,30 @@ def _evaluate_on(model: Model, dataset):
 # subcommand handlers
 
 def _cmd_parse(args) -> int:
-    plist = parse_process_list(_read_text(args.infile), fmt=_FORMAT_HINTS[args.format],
-                               strict=args.strict, source_id=args.infile)
-    if args.out:
-        doc = {
-            "format": plist.format,
-            "warnings": list(plist.warnings),
-            "entries": [{"pid": e.pid, "ppid": e.ppid, "name": e.name,
-                         "arch": e.arch, "session": e.session, "owner": e.owner}
-                        for e in plist.entries],
-        }
-        _write_json(args.out, doc)
-        return 0
-    print(f"{'PID':>6} {'PPID':>6} {'ARCH':<7} {'SESS':>4}  {'NAME':<36} OWNER")
+    plist = _read_listing(args, args.format)
+    doc = {
+        "format": plist.format,
+        "warnings": list(plist.warnings),
+        "entries": [{"pid": e.pid, "ppid": e.ppid, "name": e.name,
+                     "arch": e.arch, "session": e.session, "owner": e.owner}
+                    for e in plist.entries],
+    }
+    lines = [f"{'PID':>6} {'PPID':>6} {'ARCH':<7} {'SESS':>4}  {'NAME':<36} OWNER"]
     for e in plist.entries:
         sess = "-" if e.session is None else str(e.session)
-        print(f"{e.pid:>6} {e.ppid:>6} {e.arch:<7} {sess:>4}  {e.name:<36} {e.owner or '-'}")
-    print(f"\n{len(plist.entries)} entries, {len(plist.warnings)} skipped rows")
-    return 0
+        lines.append(f"{e.pid:>6} {e.ppid:>6} {e.arch:<7} {sess:>4}  {e.name:<36} {e.owner or '-'}")
+    lines += ["", f"{len(plist.entries)} entries, {len(plist.warnings)} skipped rows"]
+    return _emit(args, doc, "\n".join(lines) + "\n")
 
 
 def _cmd_featurize(args) -> int:
-    plist = parse_process_list(_read_text(args.infile), fmt=_FORMAT_HINTS[args.format],
-                               strict=args.strict, source_id=args.infile)
-    v = featurize(plist)
-    if args.out:
-        _write_json(args.out, v.to_dict())
-        return 0
-    print(f"{v.process_count},{v.user_count},{v.ratio!r}")
-    return 0
+    v = featurize(_read_listing(args, args.format))
+    return _emit(args, v.to_dict(), _features_line(v) + "\n")
 
 
 def _cmd_stats(args) -> int:
     stats = compute_stats(load_dataset(args.infile))
-    if args.out:
-        def block(b):
-            if b is None:
-                return None
-            return {"n": b.n, "min": list(b.mins), "max": list(b.maxs),
-                    "mean": list(b.means), "std": list(b.stds)}
-        _write_json(args.out, {"all": block(stats.all), "safe": block(stats.safe),
-                               "unsafe": block(stats.unsafe)})
-        return 0
-    print(format_stats(stats), end="")
-    return 0
+    return _emit(args, stats, format_stats(stats))
 
 
 def _cmd_datagen(args) -> int:
@@ -159,28 +161,15 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _read_label_file(path: str) -> list[Label]:
-    labels = []
-    for line_no, line in enumerate(_read_text(path).splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        if line not in ("0", "1"):
-            raise MalformedDatasetFile(line_no, f"expected 0 or 1, got {line!r}")
-        labels.append(Label(int(line)))
-    return labels
-
-
-def _read_float_file(path: str) -> list[float]:
+def _read_values(path: str, parse, complaint: str) -> list:
+    """One value per non-blank line; ``complaint`` formats the first bad line."""
     values = []
     for line_no, line in enumerate(_read_text(path).splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            values.append(float(line))
-        except ValueError:
-            raise MalformedDatasetFile(line_no, f"not a number: {line!r}") from None
+        if line := line.strip():
+            try:
+                values.append(parse(line))
+            except (KeyError, ValueError):
+                raise MalformedDatasetFile(line_no, complaint.format(line)) from None
     return values
 
 
@@ -188,33 +177,24 @@ def _cmd_evaluate(args) -> int:
     if args.pred or args.actual:
         if not (args.pred and args.actual):
             raise MalformedDatasetFile(0, "--pred and --actual go together")
-        preds = _read_label_file(args.pred)
-        actual = _read_label_file(args.actual)
-        probs = _read_float_file(args.probs) if args.probs else None
+        preds, actual = (_read_values(path, _LABEL_LINES.__getitem__,
+                                      "expected 0 or 1, got {!r}")
+                         for path in (args.pred, args.actual))
+        probs = _read_values(args.probs, float, "not a number: {!r}") if args.probs else None
         report = evaluate_predictions(preds, actual, probs)
     else:
         if not (args.model_file and args.infile):
             raise MalformedDatasetFile(0, "need MODEL and --in DATASET, or --pred/--actual")
         report = _evaluate_on(read_model_file(args.model_file), load_dataset(args.infile))
-    if args.out:
-        _write_json(args.out, report_to_dict(report))
-        return 0
-    print(format_report(report), end="")
-    return 0
+    return _emit(args, report_to_dict(report), format_report(report))
 
 
 def _cmd_classify(args) -> int:
     model = read_model_file(args.model_file)
-    plist = parse_process_list(_read_text(args.infile), strict=args.strict,
-                               source_id=args.infile)
-    v = featurize(plist)
+    v = featurize(_read_listing(args))
     doc = verdict_doc(model.predict(v), features=v.to_dict())
-    if args.out:
-        _write_json(args.out, doc)
-        return 0
-    print(f"{doc['verdict']} p={doc['probability']:.4f} "
-          f"features={v.process_count},{v.user_count},{v.ratio!r}")
-    return 0
+    return _emit(args, doc, f"{doc['verdict']} p={doc['probability']:.4f} "
+                            f"features={_features_line(v)}\n")
 
 
 def _cmd_export_tree(args) -> int:
@@ -334,6 +314,10 @@ def main(argv=None) -> int:
     except (TriageError, OSError, UnicodeDecodeError) as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 1
+    except ValueError as err:
+        # an option the config and split checks refuse, such as --epochs 0
+        print(f"proctriage {args.command}: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ demos feed on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,8 +81,6 @@ class GenConfig:
     n_safe: int = 324
     n_unsafe: int = 60
     seed: int = 0
-    safe_profile: ClassProfile = field(default=SAFE_PROFILE)
-    unsafe_profile: ClassProfile = field(default=UNSAFE_PROFILE)
 
     def __post_init__(self):
         if self.n_safe < 0 or self.n_unsafe < 0:
@@ -123,8 +121,8 @@ def generate_dataset(config: GenConfig | None = None) -> LabeledDataset:
     """Draw a labeled dataset, safe samples first, then unsafe."""
     config = config or GenConfig()
     rng = np.random.default_rng(config.seed)
-    samples = _draw_class(rng, config.safe_profile, config.n_safe, Label.TARGET)
-    samples += _draw_class(rng, config.unsafe_profile, config.n_unsafe, Label.SANDBOX)
+    samples = _draw_class(rng, SAFE_PROFILE, config.n_safe, Label.TARGET)
+    samples += _draw_class(rng, UNSAFE_PROFILE, config.n_unsafe, Label.SANDBOX)
     return LabeledDataset(samples=tuple(samples))
 
 
@@ -202,6 +200,5 @@ def generate_process_list(label: Label, seed: int = 0,
             session=0 if svc else 1,
             owner=owner,
         ))
-    plist = ProcessList(entries=tuple(entries), source_id=f"synthetic-{int(label)}-{seed}",
-                        format=TASKLIST_TABULAR)
+    plist = ProcessList(entries=tuple(entries), format=TASKLIST_TABULAR)
     return serialize_process_list(plist)

@@ -27,8 +27,9 @@ class TreeConfig:
     min_samples_split: int = 2
 
     def __post_init__(self):
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+        # type() also refuses a bool, and the floats a JSON document may hold
+        if self.max_depth is not None and (type(self.max_depth) is not int or self.max_depth < 1):
+            raise ValueError("max_depth must be None or an integer >= 1")
         if self.min_samples_split < 2:
             raise ValueError("min_samples_split must be >= 2")
 
@@ -53,7 +54,6 @@ class TreeNode:
 class DecisionTreeModel:
     root: TreeNode
     config: TreeConfig
-    feature_names: tuple[str, str, str] = FEATURE_NAMES
     n_samples: int = 0
     class_counts: tuple[int, int] = (0, 0)
 
@@ -189,7 +189,7 @@ def _export_ascii(model: DecisionTreeModel) -> str:
             lines.append(f"{pad}class: {node.label.name.lower()} "
                          f"(target={n0}, sandbox={n1})")
             return
-        name = model.feature_names[node.feature_index]
+        name = FEATURE_NAMES[node.feature_index]
         lines.append(f"{pad}if {name} <= {node.threshold:g}:  "
                      f"# gini={node.impurity:.4f}, samples={node.n_samples}")
         walk(node.left, indent + 1)
@@ -213,7 +213,7 @@ def _export_dot(model: DecisionTreeModel) -> str:
             label = f"{node.label.name.lower()}\\ntarget={n0}, sandbox={n1}"
             lines.append(f'  n{nid} [label="{label}"];')
         else:
-            name = model.feature_names[node.feature_index]
+            name = FEATURE_NAMES[node.feature_index]
             label = (f"{name} <= {node.threshold:g}\\ngini={node.impurity:.4f}"
                      f"\\nsamples={node.n_samples}")
             lines.append(f'  n{nid} [label="{label}"];')
@@ -244,18 +244,26 @@ def _node_to_dict(node: TreeNode) -> dict:
     return rec
 
 
+def _class_counts(value) -> tuple[int, int]:
+    if len(value) != 2:
+        raise ValueError(f"class_counts {value!r} needs two entries")
+    return int(value[0]), int(value[1])
+
+
 def _node_from_dict(rec: dict, depth: int = 0) -> TreeNode:
     if depth > MAX_TREE_DEPTH:
         raise ModelFormatError(f"tree deeper than {MAX_TREE_DEPTH} levels")
     try:
         node = TreeNode(
             n_samples=int(rec["n_samples"]),
-            class_counts=(int(rec["class_counts"][0]), int(rec["class_counts"][1])),
+            class_counts=_class_counts(rec["class_counts"]),
             impurity=float(rec["impurity"]),
         )
         # predict_proba divides by a leaf's count total
         if min(node.class_counts) < 0 or sum(node.class_counts) == 0:
             raise ValueError(f"class counts {list(node.class_counts)}")
+        if not math.isfinite(node.impurity):  # model.json would hold Infinity or NaN
+            raise ValueError(f"impurity {node.impurity}")
         if "label" in rec:
             node.label = Label(int(rec["label"]))
         else:
@@ -266,7 +274,8 @@ def _node_from_dict(rec: dict, depth: int = 0) -> TreeNode:
                 raise ValueError(f"split on feature {node.feature_index} at {node.threshold}")
             node.left = _node_from_dict(rec["left"], depth + 1)
             node.right = _node_from_dict(rec["right"], depth + 1)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        # int() of a JSON number such as 1e999 (inf) overflows
         raise ModelFormatError(f"bad tree node record: {e}") from None
     return node
 
@@ -277,7 +286,7 @@ def tree_to_dict(model: DecisionTreeModel) -> dict:
         "criterion": "gini",
         "config": {"max_depth": model.config.max_depth,
                    "min_samples_split": model.config.min_samples_split},
-        "feature_names": list(model.feature_names),
+        "feature_names": list(FEATURE_NAMES),
         "n_samples": model.n_samples,
         "class_counts": list(model.class_counts),
         "root": _node_to_dict(model.root),
@@ -300,7 +309,7 @@ def tree_from_dict(doc: dict) -> DecisionTreeModel:
             root=_node_from_dict(doc["root"]),
             config=config,
             n_samples=int(doc.get("n_samples", 0)),
-            class_counts=tuple(doc.get("class_counts", (0, 0))),
+            class_counts=_class_counts(doc.get("class_counts", (0, 0))),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ModelFormatError(str(e)) from None

@@ -169,60 +169,42 @@ def split_dataset(data: LabeledDataset, train_fraction: float, seed: int,
             LabeledDataset(tuple(data.samples[i] for i in test_idx)))
 
 
-@dataclass(frozen=True)
-class FeatureStats:
-    """Min/max/mean/population-std per feature for one block of samples."""
-
-    n: int
-    mins: tuple[float, float, float]
-    maxs: tuple[float, float, float]
-    means: tuple[float, float, float]
-    stds: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
-class DatasetStats:
-    all: FeatureStats
-    safe: FeatureStats | None
-    unsafe: FeatureStats | None
-
-
-def _stats_block(data: LabeledDataset) -> FeatureStats:
+def _stats_block(data: LabeledDataset | None) -> dict | None:
+    if data is None:
+        return None
     x = data.feature_matrix()
-    return FeatureStats(
-        n=len(data),
-        mins=tuple(x.min(axis=0)),
-        maxs=tuple(x.max(axis=0)),
-        means=tuple(x.mean(axis=0)),
-        stds=tuple(x.std(axis=0)),  # population std
-    )
+    return {"n": len(data), "min": x.min(axis=0).tolist(), "max": x.max(axis=0).tolist(),
+            "mean": x.mean(axis=0).tolist(), "std": x.std(axis=0).tolist()}  # population std
 
 
-def compute_stats(data: LabeledDataset) -> DatasetStats:
-    """Per-feature stats for the whole set and for each class."""
+def compute_stats(data: LabeledDataset) -> dict:
+    """Per-feature stats for the whole set and for each class.
+
+    The result is a JSON document: ``{"all"|"safe"|"unsafe": {"n", "min",
+    "max", "mean", "std"}}``, each list in FEATURE_NAMES order; a class
+    with no samples is None.
+    """
     if not len(data):
         raise DatasetTooSmall("cannot compute stats on an empty dataset")
-    safe = data.subset(Label.TARGET)
-    unsafe = data.subset(Label.SANDBOX)
-    return DatasetStats(
-        all=_stats_block(data),
-        safe=_stats_block(safe) if safe else None,
-        unsafe=_stats_block(unsafe) if unsafe else None,
-    )
+    return {"all": _stats_block(data),
+            "safe": _stats_block(data.subset(Label.TARGET)),
+            "unsafe": _stats_block(data.subset(Label.SANDBOX))}
 
 
-def format_stats(stats: DatasetStats) -> str:
-    """Render stats as a fixed-width table, one block per class."""
+def format_stats(stats: dict) -> str:
+    """Render a :func:`compute_stats` document as a fixed-width table, one
+    block per class."""
     pretty = {"process_count": "Process Count", "user_count": "User Count", "ratio": "Ratio"}
     out = []
-    for title, block in (("All Data", stats.all), ("Safe", stats.safe), ("Unsafe", stats.unsafe)):
+    for title, key in (("All Data", "all"), ("Safe", "safe"), ("Unsafe", "unsafe")):
+        block = stats[key]
         if block is None:
             continue
-        out.append(f"{title} ({block.n} samples)")
+        out.append(f"{title} ({block['n']} samples)")
         out.append(f"{'Feature':<15}{'Min':>9}{'Max':>9}{'Mean':>9}{'Std Dev':>9}")
         for i, name in enumerate(FEATURE_NAMES):
-            out.append(f"{pretty[name]:<15}{block.mins[i]:>9.1f}{block.maxs[i]:>9.1f}"
-                       f"{block.means[i]:>9.1f}{block.stds[i]:>9.1f}")
+            out.append(f"{pretty[name]:<15}" + "".join(
+                f"{block[column][i]:>9.1f}" for column in ("min", "max", "mean", "std")))
         out.append("")
     return "\n".join(out).rstrip() + "\n"
 

@@ -64,7 +64,6 @@ class ProcessList:
     """A parsed host snapshot: ordered entries plus parse metadata."""
 
     entries: tuple[ProcessEntry, ...]
-    source_id: str = ""
     format: str = TASKLIST_TABULAR
     warnings: tuple[str, ...] = ()
 
@@ -197,7 +196,8 @@ def parse_process_list(text: str, fmt: str | None = None, *, strict: bool = Fals
     after the first, are skipped with a recorded warning unless ``strict``
     is set, in which case the first one raises :class:`MalformedRow`.
     Raises :class:`EmptyListing` when the header has no data rows and
-    :class:`UnrecognizedFormat` when no header is found.
+    :class:`UnrecognizedFormat` when no header is found.  ``source_id``
+    names the listing in the log warning about skipped rows.
     """
     if fmt not in (None, TASKLIST_TABULAR, PS_UNIX):
         raise UnrecognizedFormat(f"unknown format hint {fmt!r}")
@@ -229,8 +229,7 @@ def parse_process_list(text: str, fmt: str | None = None, *, strict: bool = Fals
                        source_id or "<listing>", len(warnings), warnings[0])
     if not entries:
         raise EmptyListing("header present but no data rows parsed")
-    return ProcessList(entries=tuple(entries), source_id=source_id,
-                       format=fmt, warnings=tuple(warnings))
+    return ProcessList(entries=tuple(entries), format=fmt, warnings=tuple(warnings))
 
 
 def serialize_process_list(plist: ProcessList) -> str:

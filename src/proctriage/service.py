@@ -39,6 +39,7 @@ from .dtree import (
 )
 from .errors import ModelFormatError, TriageError
 from .features import (
+    FEATURE_NAMES,
     FeatureVector,
     Label,
     LabeledDataset,
@@ -84,7 +85,7 @@ def load_model(doc) -> Model:
     version = doc.get("version") if isinstance(doc, dict) else None
     if version == TREE_SCHEMA_VERSION:
         kind, model = "dtree", tree_from_dict(doc)
-        info = {"feature_names": list(model.feature_names), "n_samples": model.n_samples}
+        info = {"feature_names": list(FEATURE_NAMES), "n_samples": model.n_samples}
         predict = lambda v: (predict_tree(model, v), predict_proba(model, v))  # noqa: E731
     elif version == ANN_SCHEMA_VERSION:
         kind, model = "ann", ann_from_dict(doc)
@@ -208,7 +209,8 @@ class SampleStore:
                         continue
                     try:
                         record = record_from_dict(json.loads(line))
-                    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                    except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                            OverflowError):
                         # torn trailing write or manual edit; keep serving
                         logger.warning("%s:%d unreadable row skipped", path.name, line_no)
                         continue
@@ -446,6 +448,9 @@ def _route(path: str) -> tuple[dict, tuple[str, ...]] | None:
 class _Handler(BaseHTTPRequestHandler):
     server_version = "proctriage"
     protocol_version = "HTTP/1.1"
+    # the version send_error answers in when the request line's own cannot be
+    # read; the stdlib's HTTP/0.9 default sends the body with no status line
+    default_request_version = "HTTP/1.1"
     # Each response is one segment sent at once: headers and body collect in
     # the buffered wfile that handle_one_request flushes after each request,
     # and TCP_NODELAY keeps Nagle's algorithm from holding that segment (or

@@ -171,6 +171,22 @@ def test_stats_malformed_csv_is_error(capsys, tmp_path):
     assert "MalformedDatasetFile" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("datagen --n-safe -1", "negative sample count"),
+    ("datagen --n-safe 0 --n-unsafe 0", "nothing to generate"),
+    ("split --in {data} --train-fraction 1.5", "train_fraction must be in (0, 1)"),
+    ("train --in {data} --max-depth 0 --out {out}", "max_depth must be None or an integer >= 1"),
+    ("train --in {data} --model ann --epochs 0 --out {out}", "epochs must be >= 1"),
+    ("train --in {data} --model ann --lr -1 --out {out}", "learning_rate must be >= 0"),
+], ids=["n-safe", "no-samples", "train-fraction", "max-depth", "epochs", "lr"])
+def test_out_of_range_option_is_usage_error(capsys, dataset_csv, tmp_path, argv, message):
+    out_path = tmp_path / "model.json"
+    code, out, err = run(capsys, *argv.format(data=dataset_csv, out=out_path).split())
+    assert (code, out) == (2, "")
+    assert err == f"proctriage {argv.split()[0]}: error: {message}\n"
+    assert not out_path.exists()
+
+
 # -- train / evaluate / classify -----------------------------------------------------
 
 def test_train_dtree_deterministic(capsys, dataset_csv, tmp_path):
@@ -287,6 +303,16 @@ def test_classify_bad_model_file_is_error(capsys, tmp_path):
     code, _, err = run(capsys, "classify", str(bad), "--in", f"{FIX}/safe_host.txt")
     assert code == 1
     assert "ModelFormatError" in err
+
+
+def test_classify_refuses_a_number_too_big_for_int(capsys, tree_model, tmp_path):
+    doc = json.loads(tree_model.read_text())
+    doc["root"]["feature_index"] = float("inf")
+    bad = tmp_path / "tree.json"
+    bad.write_text(json.dumps(doc).replace("Infinity", "1e999"))
+    code, out, err = run(capsys, "classify", str(bad), "--in", f"{FIX}/safe_host.txt")
+    assert (code, out) == (1, "")
+    assert err.startswith("ModelFormatError: ")
 
 
 @pytest.mark.parametrize("command", [

@@ -243,18 +243,18 @@ def test_compute_stats_values():
     data = _dataset([(10, 1, Label.TARGET), (30, 1, Label.TARGET),
                      (20, 2, Label.SANDBOX)])
     stats = compute_stats(data)
-    assert stats.all.n == 3
-    assert stats.safe.n == 2 and stats.unsafe.n == 1
-    assert stats.safe.means[0] == 20.0
-    assert stats.safe.stds[0] == 10.0  # population std
-    assert stats.unsafe.mins == stats.unsafe.maxs
+    assert stats["all"]["n"] == 3
+    assert stats["safe"]["n"] == 2 and stats["unsafe"]["n"] == 1
+    assert stats["safe"]["mean"][0] == 20.0
+    assert stats["safe"]["std"][0] == 10.0  # population std
+    assert stats["unsafe"]["min"] == stats["unsafe"]["max"]
 
 
 def test_compute_stats_single_class():
     data = _dataset([(10, 1, Label.TARGET), (30, 1, Label.TARGET)])
     stats = compute_stats(data)
-    assert stats.unsafe is None
-    assert stats.safe is not None
+    assert stats["unsafe"] is None
+    assert stats["safe"] is not None
 
 
 def test_compute_stats_empty_raises():

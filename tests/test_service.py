@@ -1,5 +1,6 @@
 """Service tests: HTTP endpoints, durability, and verdict consistency."""
 
+import copy
 import http.client
 import json
 import logging
@@ -14,11 +15,14 @@ import urllib.request
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from proctriage.ann import AnnConfig, ann_to_dict, init_network
+from proctriage.ann import AnnConfig, ann_to_dict, init_network, train_ann
 from proctriage.cli import main
-from proctriage.datagen import generate_process_list
-from proctriage.dtree import TreeConfig, train_tree, tree_to_dict
+from proctriage.datagen import GenConfig, generate_dataset, generate_process_list
+from proctriage.dtree import TreeConfig, export_tree, train_tree, tree_to_dict
+from proctriage.errors import ModelFormatError
 from proctriage.features import (
     FeatureVector,
     Label,
@@ -35,6 +39,7 @@ from proctriage.service import (
     ServiceConfig,
     _ROUTES,
     _Handler,
+    load_model,
     make_server,
     record_from_dict,
     record_to_dict,
@@ -42,6 +47,7 @@ from proctriage.service import (
 )
 
 GARBAGE = "complete nonsense, no header at all\n"
+INF = float("inf")  # what a JSON number such as 1e999 parses to
 
 
 def _toy_tree_doc():
@@ -334,10 +340,17 @@ def test_errors_the_stdlib_raises_are_json_and_close(live, request_head, status)
 
 def test_a_request_line_without_a_readable_version_gets_a_json_body(live):
     base, _ = live
-    with socket.create_connection(("127.0.0.1", _port(base)), timeout=3) as sock:
-        sock.sendall(b"GET /v1/model HTTP/1.1 extra\r\n\r\n")
-        reply = _read_to_eof(sock)  # HTTP/0.9 style, as the stdlib answers it
-    assert json.loads(reply) == {"error": "Bad request version ('extra')"}
+    for request_line, status, error in [
+        (b"GET /v1/model HTTP/1.1 extra", 400, "Bad request version ('extra')"),
+        (b"GET /v1/model HTTP/7.0", 505, "Invalid HTTP version (7.0)"),
+    ]:
+        with socket.create_connection(("127.0.0.1", _port(base)), timeout=3) as sock:
+            sock.sendall(request_line + b"\r\n\r\n")
+            head, _, body = _read_to_eof(sock).partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        assert lines[0].startswith(f"HTTP/1.1 {status} ".encode()), head
+        assert b"Connection: close" in lines
+        assert json.loads(body) == {"error": error}
 
 
 def test_duplicate_submissions_get_distinct_ids(live, sandbox_host_text):
@@ -569,10 +582,13 @@ def test_bad_model_doc_is_400_and_previous_model_survives(live, sandbox_host_tex
 
 
 def _edited(make_doc, edit):
-    """JSON text of ``make_doc()`` after ``edit`` changed it in place."""
+    """JSON text of ``make_doc()`` after ``edit`` changed it in place.
+
+    An infinite value is written as 1e999: standard JSON that parses to inf.
+    """
     doc = make_doc()
     edit(doc)
-    return json.dumps(doc)
+    return json.dumps(doc).replace("Infinity", "1e999")
 
 
 def _leftmost_leaf(node):
@@ -598,6 +614,22 @@ BAD_MODELS = {
         lambda: _edited(_toy_tree_doc, lambda d: d["root"].update(threshold=float("nan"))),
     "tree-empty-leaf": lambda: _edited(
         _toy_tree_doc, lambda d: _leftmost_leaf(d["root"]).update(class_counts=[0, 0])),
+    "tree-one-class-count": lambda: _edited(
+        _toy_tree_doc, lambda d: _leftmost_leaf(d["root"]).update(class_counts=[1])),
+    "tree-three-class-counts": lambda: _edited(
+        _toy_tree_doc, lambda d: _leftmost_leaf(d["root"]).update(class_counts=[1, 0, 0])),
+    "tree-class-count-1e999": lambda: _edited(
+        _toy_tree_doc, lambda d: _leftmost_leaf(d["root"]).update(class_counts=[INF, 0])),
+    "tree-feature-index-1e999":
+        lambda: _edited(_toy_tree_doc, lambda d: d["root"].update(feature_index=INF)),
+    "tree-label-1e999":
+        lambda: _edited(_toy_tree_doc, lambda d: _leftmost_leaf(d["root"]).update(label=INF)),
+    "tree-impurity-1e999":
+        lambda: _edited(_toy_tree_doc, lambda d: d["root"].update(impurity=INF)),
+    "tree-max-depth-2.5":
+        lambda: _edited(_toy_tree_doc, lambda d: d["config"].update(max_depth=2.5)),
+    "tree-max-depth-1e999":
+        lambda: _edited(_toy_tree_doc, lambda d: d["config"].update(max_depth=INF)),
     "tree-900-deep": lambda: _chain_tree(900),
     "tree-1500-deep": lambda: _chain_tree(1500),
     "tree-config-null": lambda: _edited(_toy_tree_doc, lambda d: d.update(config=None)),
@@ -616,6 +648,9 @@ BAD_MODELS = {
     "ann-two-inputs": lambda: _edited(_toy_ann_doc, lambda d: d.update(
         layer_sizes=[2, 3, 3, 1],
         weights=[{"shape": [2, 3], "data": [0.1] * 6}, *d["weights"][1:]])),
+    "ann-seed-1e999": lambda: _edited(_toy_ann_doc, lambda d: d.update(seed=INF)),
+    "ann-layer-size-1e999":
+        lambda: _edited(_toy_ann_doc, lambda d: d["layer_sizes"].__setitem__(1, INF)),
 }
 
 
@@ -645,6 +680,61 @@ def test_ann_model_info(live):
     assert info["kind"] == "ann"
     assert info["layer_sizes"] == [3, 3, 3, 1]
     assert info["model_id"]
+
+
+# each mutation deletes one field of a document or sets it to one of these
+_POOL = [None, True, -1, 1e999, 0.5, "x", [], [1], {}]
+_DELETE = object()
+_PROBES = [FeatureVector.from_counts(pc, uc) for pc, uc in [(1, 1), (40, 4), (220, 1), (5000, 17)]]
+
+
+@st.composite
+def _mutated(draw, doc):
+    """A copy of ``doc`` with one field, at any depth, deleted or replaced."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        # stop at a leaf, an empty container, or when the draw says so
+        if not isinstance(child, (dict, list)) or not child or draw(st.booleans()):
+            break
+        node = child
+    value = draw(st.sampled_from([_DELETE, *_POOL]))
+    if value is _DELETE:
+        del node[key]
+    else:
+        node[key] = copy.deepcopy(value)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def trained_docs():
+    data = generate_dataset(GenConfig(n_safe=40, n_unsafe=20, seed=3))
+    return {"dtree": tree_to_dict(train_tree(data, TreeConfig(max_depth=3))),
+            "ann": ann_to_dict(train_ann(data, AnnConfig(epochs=20))[0])}
+
+
+@pytest.mark.parametrize("kind", ["dtree", "ann"])
+def test_a_mutated_model_document_is_refused_or_serves(tmp_path, trained_docs, kind):
+    service = Service(ServiceConfig(data_dir=tmp_path, port=0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mutated(trained_docs[kind]))
+    def check(doc):
+        try:
+            model = load_model(doc)
+        except ModelFormatError:
+            return
+        for v in _PROBES:
+            label, prob = model.predict(v)
+            assert label in (Label.TARGET, Label.SANDBOX) and 0.0 <= prob <= 1.0
+        if kind == "dtree":
+            export_tree(model.model, "ascii")
+            export_tree(model.model, "dot")
+        json.dumps(service.activate_model(doc), allow_nan=False)
+
+    check()
 
 
 def test_model_persists_across_restart(tmp_path, sandbox_host_text):
@@ -695,6 +785,44 @@ def test_non_object_store_lines_are_skipped(tmp_path, caplog):
         reopened = SampleStore(tmp_path)
     assert [r.id for r in reopened.all_records()] == ["good"]
     assert sum("unreadable row skipped" in m for m in caplog.messages) == 3
+
+
+_STORED = SampleRecord(id="r1", received_at=1_700_000_000.0, raw_text="PID\tNAME\n",
+                       features=FeatureVector.from_counts(40, 4), predicted=(Label.SANDBOX, 0.9),
+                       human_label=Label.SANDBOX, parse_warnings=2)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(parse_warnings=INF),
+    lambda d: d.update(human_label=INF),
+    lambda d: d["predicted"].update(label=INF),
+    lambda d: d["features"].update(process_count=INF),
+], ids=["parse_warnings", "human_label", "predicted.label", "features.process_count"])
+def test_store_lines_with_numbers_too_big_for_int_are_skipped(tmp_path, caplog, edit):
+    store = SampleStore(tmp_path)
+    store.append(SampleRecord(id="good", received_at=1_700_000_000.0, raw_text="x"))
+    doc = record_to_dict(_STORED)
+    edit(doc)
+    log = next(tmp_path.glob("samples-*.jsonl"))
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc).replace("Infinity", "1e999") + "\n")
+
+    with caplog.at_level(logging.WARNING, logger="proctriage.service"):
+        reopened = SampleStore(tmp_path)
+    assert [r.id for r in reopened.all_records()] == ["good"]
+    assert sum("unreadable row skipped" in m for m in caplog.messages) == 1
+
+
+def test_a_mutated_store_line_is_kept_or_skipped(tmp_path):
+    log = tmp_path / "samples-20231114.jsonl"
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mutated(record_to_dict(_STORED)))
+    def check(doc):
+        log.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        assert len(SampleStore(tmp_path)) in (0, 1)  # and the reload did not raise
+
+    check()
 
 
 def test_record_after_a_torn_tail_survives_restart(tmp_path, sandbox_host_text):
