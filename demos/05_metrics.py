@@ -1,11 +1,11 @@
 """The full metric arithmetic on a worked confusion matrix.
 
-Counts are indexed (actual, predicted) with Safe as the positive class.
+A confusion matrix is a pair of count rows indexed (actual, predicted),
+with Safe as the positive class, and each metric row is a plain dict.
 This example matrix has 67 actual-safe and 10 actual-unsafe samples and
 is the reference the test suite locks every formula against.
 """
 from proctriage import (
-    ConfusionMatrix,
     Label,
     accuracy,
     aggregate_metrics,
@@ -13,24 +13,23 @@ from proctriage import (
     regression_errors,
 )
 
-cm = ConfusionMatrix(counts=((66, 1), (3, 7)))
+cm = ((66, 1), (3, 7))
 print("confusion matrix (rows actual, columns predicted):")
 print("              pred safe  pred unsafe")
-print(f"  actual safe       {cm.counts[0][0]:>3}          {cm.counts[0][1]:>3}")
-print(f"  actual unsafe     {cm.counts[1][0]:>3}          {cm.counts[1][1]:>3}")
+print(f"  actual safe       {cm[0][0]:>3}          {cm[0][1]:>3}")
+print(f"  actual unsafe     {cm[1][0]:>3}          {cm[1][1]:>3}")
 print()
 
 per = class_metrics(cm)
 for label, name in ((Label.TARGET, "Safe"), (Label.SANDBOX, "Unsafe")):
     m = per[label]
-    print(f"{name:>6}: precision {m.precision:.4f} recall {m.recall:.4f} "
-          f"f1 {m.f1:.4f} support {m.support}")
+    print(f"{name:>6}: precision {m['precision']:.4f} recall {m['recall']:.4f} "
+          f"f1 {m['f1']:.4f} support {m['support']}")
 
 macro, weighted = aggregate_metrics(per)
-print(f" macro: precision {macro.precision:.4f} recall {macro.recall:.4f} "
-      f"f1 {macro.f1:.4f} support {macro.support}")
-print(f"wghtd: precision {weighted.precision:.4f} recall {weighted.recall:.4f} "
-      f"f1 {weighted.f1:.4f} support {weighted.support}")
+for name, m in ((" macro", macro), ("wghtd", weighted)):
+    print(f"{name}: precision {m['precision']:.4f} recall {m['recall']:.4f} "
+          f"f1 {m['f1']:.4f} support {m['support']}")
 print(f"accuracy: {accuracy(cm) * 100:.2f}%")
 print()
 

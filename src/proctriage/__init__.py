@@ -72,9 +72,6 @@ from .features import (
     split_dataset,
 )
 from .metrics import (
-    ClassMetrics,
-    ConfusionMatrix,
-    EvalReport,
     accuracy,
     aggregate_metrics,
     class_metrics,
@@ -82,7 +79,6 @@ from .metrics import (
     evaluate_predictions,
     format_report,
     regression_errors,
-    report_to_dict,
 )
 from .proclist import (
     ProcessEntry,
@@ -118,9 +114,8 @@ __all__ = [
     "ScalerParams", "compute_stats", "dataset_from_csv", "dataset_to_csv",
     "featurize", "fit_scaler", "format_stats", "load_dataset", "save_dataset",
     "split_dataset",
-    "ClassMetrics", "ConfusionMatrix", "EvalReport", "accuracy",
-    "aggregate_metrics", "class_metrics", "confusion", "evaluate_predictions",
-    "format_report", "regression_errors", "report_to_dict",
+    "accuracy", "aggregate_metrics", "class_metrics", "confusion",
+    "evaluate_predictions", "format_report", "regression_errors",
     "ProcessEntry", "ProcessList", "detect_format", "parse_process_list",
     "serialize_process_list",
     "SampleRecord", "SampleStore", "Service", "ServiceConfig", "make_server",

@@ -32,6 +32,8 @@ class AnnConfig:
             raise ValueError("layer_sizes must run from 3 inputs to 1 output")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
+        if not np.isfinite(self.learning_rate):
+            raise ValueError("learning_rate must be finite")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 

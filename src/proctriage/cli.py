@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .ann import AnnConfig, ann_to_dict, train_ann
@@ -30,7 +31,7 @@ from .features import (
     save_dataset,
     split_dataset,
 )
-from .metrics import evaluate_predictions, format_report, report_to_dict
+from .metrics import evaluate_predictions, format_report
 from .proclist import PS_UNIX, TASKLIST_TABULAR, ProcessList, parse_process_list
 from .service import Model, ServiceConfig, load_model, read_model_file, run_service, verdict_doc
 
@@ -87,9 +88,7 @@ def _cmd_parse(args) -> int:
     doc = {
         "format": plist.format,
         "warnings": list(plist.warnings),
-        "entries": [{"pid": e.pid, "ppid": e.ppid, "name": e.name,
-                     "arch": e.arch, "session": e.session, "owner": e.owner}
-                    for e in plist.entries],
+        "entries": [asdict(e) for e in plist.entries],
     }
     lines = [f"{'PID':>6} {'PPID':>6} {'ARCH':<7} {'SESS':>4}  {'NAME':<36} OWNER"]
     for e in plist.entries:
@@ -161,6 +160,13 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _probability(text: str) -> float:
+    """A --probs line: a number from 0 to 1."""
+    if not 0.0 <= (p := float(text)) <= 1.0:
+        raise ValueError(text)
+    return p
+
+
 def _read_values(path: str, parse, complaint: str) -> list:
     """One value per non-blank line; ``complaint`` formats the first bad line."""
     values = []
@@ -180,13 +186,14 @@ def _cmd_evaluate(args) -> int:
         preds, actual = (_read_values(path, _LABEL_LINES.__getitem__,
                                       "expected 0 or 1, got {!r}")
                          for path in (args.pred, args.actual))
-        probs = _read_values(args.probs, float, "not a number: {!r}") if args.probs else None
+        probs = (_read_values(args.probs, _probability, "not a number from 0 to 1: {!r}")
+                 if args.probs else None)
         report = evaluate_predictions(preds, actual, probs)
     else:
         if not (args.model_file and args.infile):
             raise MalformedDatasetFile(0, "need MODEL and --in DATASET, or --pred/--actual")
         report = _evaluate_on(read_model_file(args.model_file), load_dataset(args.infile))
-    return _emit(args, report_to_dict(report), format_report(report))
+    return _emit(args, report, format_report(report))
 
 
 def _cmd_classify(args) -> int:

@@ -13,20 +13,20 @@ class EmptyListing(TriageError):
     """A listing contained a header but no countable process rows."""
 
 
-class MalformedRow(TriageError):
+class _LineError(TriageError):
+    """An error that names the input line it was found on."""
+
+    def __init__(self, line_no: int, detail: str = ""):
+        self.line_no = line_no
+        super().__init__(f"line {line_no}: {detail}" if detail else f"line {line_no}")
+
+
+class MalformedRow(_LineError):
     """A data row could not be parsed (non-numeric pid cell)."""
 
-    def __init__(self, line_no: int, detail: str = ""):
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: {detail}" if detail else f"line {line_no}")
 
-
-class MalformedDatasetFile(TriageError):
+class MalformedDatasetFile(_LineError):
     """A dataset CSV row failed validation."""
-
-    def __init__(self, line_no: int, detail: str = ""):
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: {detail}" if detail else f"line {line_no}")
 
 
 class DatasetTooSmall(TriageError):

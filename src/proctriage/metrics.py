@@ -1,70 +1,27 @@
 """Confusion matrices and the usual imbalanced-classification arithmetic.
 
 Per-class precision/recall/F1/support with macro and weighted averages,
-overall accuracy, and MAE/MSE over predicted probabilities.  The safe
-(target) class is reported first, as the positive class.
+overall accuracy, and MAE/MSE over predicted probabilities, all on plain
+values: a confusion matrix is the pair of count rows ((tt, ts), (st, ss))
+indexed (actual, predicted), a metric row is a dict, and the report is
+the JSON document ``evaluate --out`` writes.  The safe (target) class
+comes first, as the positive class.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LengthMismatch
 from .features import Label
 
-CLASS_DISPLAY = {Label.TARGET: "Safe", Label.SANDBOX: "Unsafe"}
+# the report's per-class keys, in report order
+_CLASS_KEYS = {Label.TARGET: "safe", Label.SANDBOX: "unsafe"}
+_RATES = ("precision", "recall", "f1")
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Counts indexed by (actual, predicted) over {target, sandbox}."""
-
-    counts: tuple[tuple[int, int], tuple[int, int]]
-
-    def __post_init__(self):
-        if any(c < 0 for row in self.counts for c in row):
-            raise ValueError("negative cell count")
-        if self.total < 1:
-            raise ValueError("confusion matrix is empty")
-
-    @property
-    def total(self) -> int:
-        return sum(c for row in self.counts for c in row)
-
-    def actual_count(self, label: Label) -> int:
-        return sum(self.counts[int(label)])
-
-    def predicted_count(self, label: Label) -> int:
-        return self.counts[0][int(label)] + self.counts[1][int(label)]
-
-    def correct_count(self, label: Label) -> int:
-        return self.counts[int(label)][int(label)]
-
-
-@dataclass(frozen=True)
-class ClassMetrics:
-    precision: float
-    recall: float
-    f1: float
-    support: int
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    confusion: ConfusionMatrix
-    per_class: dict[Label, ClassMetrics]
-    macro_avg: ClassMetrics
-    weighted_avg: ClassMetrics
-    accuracy: float
-    mae: float | None = None
-    mse: float | None = None
-
-
-def confusion(pred, actual) -> ConfusionMatrix:
+def confusion(pred, actual) -> tuple[tuple[int, int], tuple[int, int]]:
     """Tally (actual, predicted) label pairs."""
-    pred = list(pred)
-    actual = list(actual)
+    pred, actual = list(pred), list(actual)
     if len(pred) != len(actual):
         raise LengthMismatch(f"{len(pred)} predictions vs {len(actual)} labels")
     if not pred:
@@ -72,49 +29,49 @@ def confusion(pred, actual) -> ConfusionMatrix:
     cells = [[0, 0], [0, 0]]
     for p, a in zip(pred, actual):
         cells[int(a)][int(p)] += 1
-    return ConfusionMatrix(counts=(tuple(cells[0]), tuple(cells[1])))
+    return tuple(cells[0]), tuple(cells[1])
+
+
+def _total(cm) -> int:
+    """The matrix's sample count; a negative cell or an empty matrix raises."""
+    if any(c < 0 for row in cm for c in row):
+        raise ValueError("negative cell count")
+    total = sum(c for row in cm for c in row)
+    if total < 1:
+        raise ValueError("confusion matrix is empty")
+    return total
 
 
 def _safe_div(num: float, den: float) -> float:
     return num / den if den else 0.0
 
 
-def class_metrics(cm: ConfusionMatrix) -> dict[Label, ClassMetrics]:
+def class_metrics(cm) -> dict[Label, dict]:
     """Precision/recall/F1/support per class, with 0/0 reported as 0."""
+    _total(cm)  # refuses a negative cell or an empty matrix
     out = {}
     for label in (Label.TARGET, Label.SANDBOX):
-        correct = cm.correct_count(label)
-        precision = _safe_div(correct, cm.predicted_count(label))
-        recall = _safe_div(correct, cm.actual_count(label))
+        correct, support = cm[label][label], sum(cm[label])
+        precision = _safe_div(correct, cm[0][label] + cm[1][label])
+        recall = _safe_div(correct, support)
         f1 = _safe_div(2.0 * precision * recall, precision + recall)
-        out[label] = ClassMetrics(precision, recall, f1, cm.actual_count(label))
+        out[label] = {"precision": precision, "recall": recall, "f1": f1, "support": support}
     return out
 
 
-def aggregate_metrics(per_class: dict[Label, ClassMetrics]) -> tuple[ClassMetrics, ClassMetrics]:
+def aggregate_metrics(per_class: dict[Label, dict]) -> tuple[dict, dict]:
     """(macro, weighted) averages; both carry the summed support."""
-    classes = list(per_class.values())
-    total = sum(c.support for c in classes)
+    rows = list(per_class.values())
+    total = sum(r["support"] for r in rows)
     if total < 1:
         raise ValueError("no class has support")
-    k = len(classes)
-    macro = ClassMetrics(
-        precision=sum(c.precision for c in classes) / k,
-        recall=sum(c.recall for c in classes) / k,
-        f1=sum(c.f1 for c in classes) / k,
-        support=total,
-    )
-    weighted = ClassMetrics(
-        precision=sum(c.precision * c.support for c in classes) / total,
-        recall=sum(c.recall * c.support for c in classes) / total,
-        f1=sum(c.f1 * c.support for c in classes) / total,
-        support=total,
-    )
-    return macro, weighted
+    macro = {k: sum(r[k] for r in rows) / len(rows) for k in _RATES}
+    weighted = {k: sum(r[k] * r["support"] for r in rows) / total for k in _RATES}
+    return {**macro, "support": total}, {**weighted, "support": total}
 
 
-def accuracy(cm: ConfusionMatrix) -> float:
-    return (cm.correct_count(Label.TARGET) + cm.correct_count(Label.SANDBOX)) / cm.total
+def accuracy(cm) -> float:
+    return (cm[0][0] + cm[1][1]) / _total(cm)
 
 
 def regression_errors(probs, labels) -> tuple[float, float]:
@@ -129,55 +86,35 @@ def regression_errors(probs, labels) -> tuple[float, float]:
     return float(np.mean(np.abs(err))), float(np.mean(err ** 2))
 
 
-def evaluate_predictions(pred, actual, probs=None) -> EvalReport:
-    """Full report from predicted labels (and optional probabilities)."""
+def evaluate_predictions(pred, actual, probs=None) -> dict:
+    """The report: confusion, per_class (safe, unsafe), macro_avg,
+    weighted_avg, accuracy, then mae and mse when ``probs`` is given."""
     cm = confusion(pred, actual)
     per_class = class_metrics(cm)
     macro, weighted = aggregate_metrics(per_class)
-    mae = mse = None
+    doc = {"confusion": cm,
+           "per_class": {_CLASS_KEYS[label]: row for label, row in per_class.items()},
+           "macro_avg": macro, "weighted_avg": weighted, "accuracy": accuracy(cm)}
     if probs is not None:
-        mae, mse = regression_errors(probs, actual)
-    return EvalReport(confusion=cm, per_class=per_class, macro_avg=macro,
-                      weighted_avg=weighted, accuracy=accuracy(cm), mae=mae, mse=mse)
-
-
-def report_to_dict(report: EvalReport) -> dict:
-    def metric_row(m: ClassMetrics) -> dict:
-        return {"precision": m.precision, "recall": m.recall, "f1": m.f1,
-                "support": m.support}
-
-    doc = {
-        "confusion": [list(row) for row in report.confusion.counts],
-        "per_class": {CLASS_DISPLAY[label].lower(): metric_row(m)
-                      for label, m in report.per_class.items()},
-        "macro_avg": metric_row(report.macro_avg),
-        "weighted_avg": metric_row(report.weighted_avg),
-        "accuracy": report.accuracy,
-    }
-    if report.mae is not None:
-        doc["mae"] = report.mae
-        doc["mse"] = report.mse
+        doc["mae"], doc["mse"] = regression_errors(probs, actual)
     return doc
 
 
-def format_report(report: EvalReport) -> str:
+def format_report(doc: dict) -> str:
     """Fixed-width metrics table plus the accuracy line.
 
     Metric values render at two decimals, accuracy at two decimals of
-    percent; the underlying report keeps full precision.
+    percent; the document keeps full precision.
     """
-    rows = [(CLASS_DISPLAY[label], report.per_class[label])
-            for label in (Label.TARGET, Label.SANDBOX)]
-    rows.append(("Macro Average", report.macro_avg))
-    rows.append(("Weighted Average", report.weighted_avg))
+    rows = [(key.capitalize(), row) for key, row in doc["per_class"].items()]
+    rows += [("Macro Average", doc["macro_avg"]), ("Weighted Average", doc["weighted_avg"])]
 
     lines = [f"{'Metrics':<18}{'Precision':>10}{'Recall':>8}{'F1-score':>10}{'Support':>9}"]
     for name, m in rows:
-        lines.append(f"{name:<18}{m.precision:>10.2f}{m.recall:>8.2f}"
-                     f"{m.f1:>10.2f}{m.support:>9d}")
-    lines.append("")
-    lines.append(f"Accuracy: {report.accuracy * 100.0:.2f}%")
-    if report.mae is not None:
-        lines.append(f"Mean Absolute Error: {report.mae:.4f}")
-        lines.append(f"Mean Squared Error: {report.mse:.4f}")
+        lines.append(f"{name:<18}{m['precision']:>10.2f}{m['recall']:>8.2f}"
+                     f"{m['f1']:>10.2f}{m['support']:>9d}")
+    lines += ["", f"Accuracy: {doc['accuracy'] * 100.0:.2f}%"]
+    if "mae" in doc:
+        lines += [f"Mean Absolute Error: {doc['mae']:.4f}",
+                  f"Mean Squared Error: {doc['mse']:.4f}"]
     return "\n".join(lines) + "\n"

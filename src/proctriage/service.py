@@ -69,11 +69,7 @@ class Model:
     model_id: str                               # sha256 prefix of ``document``
     document: str                               # canonical JSON, as persisted
     predict: Callable[[FeatureVector], tuple[Label, float]] = field(repr=False)
-    details: dict = field(repr=False)
-
-    def info(self) -> dict:
-        """The schema version, then the fields that schema is described by."""
-        return dict(self.details)
+    details: dict = field(repr=False)           # version, then that schema's fields
 
 
 def load_model(doc) -> Model:
@@ -157,18 +153,30 @@ def record_to_dict(record: SampleRecord) -> dict:
     return doc
 
 
+def _day(received_at: float) -> str:
+    """The UTC day that names a record's file; raises for a time it cannot name."""
+    return time.strftime("%Y%m%d", time.gmtime(received_at))
+
+
 def record_from_dict(doc: dict) -> SampleRecord:
+    """A stored record; one the service could not label or reply with raises."""
     if not isinstance(doc, dict):
         raise TypeError(f"record is {type(doc).__name__}, not an object")
     features, predicted = doc.get("features"), doc.get("predicted")
     human_label = doc.get("human_label")
+    received_at = float(doc["received_at"])
+    _day(received_at)  # append names the day file by it
+    if predicted is not None:
+        label, prob = Label(int(predicted["label"])), float(predicted["probability"])
+        if not 0.0 <= prob <= 1.0:
+            raise ValueError(f"probability {prob!r} is not from 0 to 1")
+        predicted = label, prob
     return SampleRecord(
         id=str(doc["id"]),
-        received_at=float(doc["received_at"]),
+        received_at=received_at,
         raw_text=str(doc["raw_text"]),
         features=None if features is None else FeatureVector.from_dict(features),
-        predicted=None if predicted is None else (Label(int(predicted["label"])),
-                                                  float(predicted["probability"])),
+        predicted=predicted,
         human_label=None if human_label is None else Label(int(human_label)),
         parse_warnings=int(doc.get("parse_warnings", 0)),
     )
@@ -210,7 +218,7 @@ class SampleStore:
                     try:
                         record = record_from_dict(json.loads(line))
                     except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                            OverflowError):
+                            OverflowError, OSError):
                         # torn trailing write or manual edit; keep serving
                         logger.warning("%s:%d unreadable row skipped", path.name, line_no)
                         continue
@@ -220,8 +228,7 @@ class SampleStore:
         """Durably append a snapshot, then make it visible."""
         line = json.dumps(record_to_dict(record), separators=(",", ":")) + "\n"
         with self._lock:
-            day = time.strftime("%Y%m%d", time.gmtime(record.received_at))
-            with open(self.root / f"samples-{day}.jsonl", "ab+") as fh:
+            with open(self.root / f"samples-{_day(record.received_at)}.jsonl", "ab+") as fh:
                 size = fh.seek(0, os.SEEK_END)
                 if size and os.pread(fh.fileno(), 1, size - 1) != b"\n":
                     line = "\n" + line  # end the torn line a crash left
@@ -297,7 +304,7 @@ class Service:
             return {"active": False}
         model, activated_at = active
         return {"active": True, "kind": model.kind, "model_id": model.model_id,
-                "activated_at": activated_at, **model.info()}
+                "activated_at": activated_at, **model.details}
 
     def _predict(self, features: FeatureVector | None) -> tuple[Label, float] | None:
         """The active model's verdict; None without a model or without features."""

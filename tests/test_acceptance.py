@@ -51,7 +51,6 @@ from proctriage.features import (
     split_dataset,
 )
 from proctriage.metrics import (
-    ConfusionMatrix,
     accuracy,
     aggregate_metrics,
     class_metrics,
@@ -61,13 +60,13 @@ from proctriage.proclist import parse_process_list
 
 def test_criterion_1_metric_oracle(announce):
     """Published-report arithmetic reproduced to 2 decimal places."""
-    cm = ConfusionMatrix(counts=((66, 1), (3, 7)))
+    cm = ((66, 1), (3, 7))
     per = class_metrics(cm)
     macro, weighted = aggregate_metrics(per)
     acc = accuracy(cm)
 
     def r2(m):
-        return (round(m.precision, 2), round(m.recall, 2), round(m.f1, 2), m.support)
+        return (round(m["precision"], 2), round(m["recall"], 2), round(m["f1"], 2), m["support"])
 
     ok = (
         r2(per[Label.TARGET]) == (0.96, 0.99, 0.97, 67)

@@ -178,7 +178,10 @@ def test_stats_malformed_csv_is_error(capsys, tmp_path):
     ("train --in {data} --max-depth 0 --out {out}", "max_depth must be None or an integer >= 1"),
     ("train --in {data} --model ann --epochs 0 --out {out}", "epochs must be >= 1"),
     ("train --in {data} --model ann --lr -1 --out {out}", "learning_rate must be >= 0"),
-], ids=["n-safe", "no-samples", "train-fraction", "max-depth", "epochs", "lr"])
+    ("train --in {data} --model ann --lr nan --out {out}", "learning_rate must be finite"),
+    ("train --in {data} --model ann --lr inf --out {out}", "learning_rate must be finite"),
+], ids=["n-safe", "no-samples", "train-fraction", "max-depth", "epochs", "lr", "lr-nan",
+        "lr-inf"])
 def test_out_of_range_option_is_usage_error(capsys, dataset_csv, tmp_path, argv, message):
     out_path = tmp_path / "model.json"
     code, out, err = run(capsys, *argv.format(data=dataset_csv, out=out_path).split())
@@ -277,6 +280,68 @@ def test_evaluate_bad_label_file_is_error(capsys, tmp_path):
     code, _, err = run(capsys, "evaluate", "--pred", str(pred), "--actual", str(actual))
     assert code == 1
     assert "MalformedDatasetFile" in err
+
+
+# the published matrix (66/1/3/7) as (actual, predicted, count, probability) runs
+_GOLDEN_CELLS = [(0, 0, 66, "0.1"), (0, 1, 1, "0.6"), (1, 0, 3, "0.4"), (1, 1, 7, "0.9")]
+_GOLDEN_TEXT = """\
+Metrics            Precision  Recall  F1-score  Support
+Safe                    0.96    0.99      0.97       67
+Unsafe                  0.88    0.70      0.78       10
+Macro Average           0.92    0.84      0.87       77
+Weighted Average        0.95    0.95      0.95       77
+
+Accuracy: 94.81%
+Mean Absolute Error: 0.1260
+Mean Squared Error: 0.0282
+"""
+_GOLDEN_DOC = {
+    "confusion": [[66, 1], [3, 7]],
+    "per_class": {
+        "safe": {"precision": 0.9565217391304348, "recall": 0.9850746268656716,
+                 "f1": 0.9705882352941176, "support": 67},
+        "unsafe": {"precision": 0.875, "recall": 0.7, "f1": 0.7777777777777777,
+                   "support": 10},
+    },
+    "macro_avg": {"precision": 0.9157608695652174, "recall": 0.8425373134328358,
+                  "f1": 0.8741830065359477, "support": 77},
+    "weighted_avg": {"precision": 0.9459345002823263, "recall": 0.948051948051948,
+                     "f1": 0.9455479161361514, "support": 77},
+    "accuracy": 0.948051948051948,
+    "mae": 0.12597402597402593,
+    "mse": 0.02818181818181817,
+}
+
+
+def test_evaluate_golden_report(capsys, tmp_path):
+    """Stdout and the --out file, byte for byte, on the published matrix."""
+    columns = {"pred": [], "actual": [], "probs": []}
+    for a, p, n, prob in _GOLDEN_CELLS:
+        columns["actual"] += [str(a)] * n
+        columns["pred"] += [str(p)] * n
+        columns["probs"] += [prob] * n
+    argv = ["evaluate"]
+    for name, lines in columns.items():
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        argv += [f"--{name}", str(tmp_path / name)]
+
+    assert run(capsys, *argv) == (0, _GOLDEN_TEXT, "")
+    out_path = tmp_path / "report.json"
+    assert run(capsys, *argv, "--out", str(out_path)) == (0, "", "")
+    assert out_path.read_text() == json.dumps(_GOLDEN_DOC, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "5", "-1"])
+def test_evaluate_probability_outside_0_to_1_is_error(capsys, tmp_path, value):
+    for name, text in (("pred", "0\n1\n"), ("actual", "0\n1\n"), ("probs", f"0.2\n{value}\n")):
+        (tmp_path / name).write_text(text)
+    out_path = tmp_path / "report.json"
+    code, out, err = run(capsys, "evaluate", "--pred", str(tmp_path / "pred"),
+                         "--actual", str(tmp_path / "actual"),
+                         "--probs", str(tmp_path / "probs"), "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert err == f"MalformedDatasetFile: line 2: not a number from 0 to 1: {value!r}\n"
+    assert not out_path.exists()
 
 
 def test_classify_human_line(capsys, tree_model):

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from proctriage.errors import LengthMismatch
 from proctriage.features import Label
 from proctriage.metrics import (
-    ClassMetrics,
-    ConfusionMatrix,
     accuracy,
     aggregate_metrics,
     class_metrics,
@@ -16,10 +14,9 @@ from proctriage.metrics import (
     evaluate_predictions,
     format_report,
     regression_errors,
-    report_to_dict,
 )
 
-REPORT_CM = ConfusionMatrix(counts=((66, 1), (3, 7)))
+REPORT_CM = ((66, 1), (3, 7))
 
 
 # -- confusion ----------------------------------------------------------------
@@ -28,20 +25,20 @@ def test_confusion_convention_actual_row_predicted_col():
     pred = [Label.TARGET, Label.SANDBOX, Label.SANDBOX, Label.TARGET]
     actual = [Label.TARGET, Label.TARGET, Label.SANDBOX, Label.SANDBOX]
     cm = confusion(pred, actual)
-    assert cm.counts == ((1, 1), (1, 1))
+    assert cm == ((1, 1), (1, 1))
 
 
 def test_confusion_perfect_diagonal():
     labels = [Label.TARGET, Label.SANDBOX, Label.SANDBOX]
     cm = confusion(labels, labels)
-    assert cm.counts == ((1, 0), (0, 2))
+    assert cm == ((1, 0), (0, 2))
 
 
 def test_confusion_single_off_diagonal_cell():
     pred = [Label.SANDBOX] * 5
     actual = [Label.TARGET] * 5
     cm = confusion(pred, actual)
-    assert cm.counts == ((0, 5), (0, 0))
+    assert cm == ((0, 5), (0, 0))
 
 
 def test_confusion_length_mismatch():
@@ -52,10 +49,11 @@ def test_confusion_length_mismatch():
 
 
 def test_confusion_matrix_validation():
-    with pytest.raises(ValueError):
-        ConfusionMatrix(counts=((0, 0), (0, 0)))
-    with pytest.raises(ValueError):
-        ConfusionMatrix(counts=((-1, 2), (0, 1)))
+    for check in (class_metrics, accuracy):
+        with pytest.raises(ValueError):
+            check(((0, 0), (0, 0)))
+        with pytest.raises(ValueError):
+            check(((-1, 2), (0, 1)))
 
 
 # -- per-class metrics ----------------------------------------------------------
@@ -63,80 +61,81 @@ def test_confusion_matrix_validation():
 def test_class_metrics_published_report():
     per = class_metrics(REPORT_CM)
     safe, unsafe = per[Label.TARGET], per[Label.SANDBOX]
-    assert safe.precision == pytest.approx(66 / 69)
-    assert safe.recall == pytest.approx(66 / 67)
-    assert safe.f1 == pytest.approx(2 * (66 / 69) * (66 / 67) / (66 / 69 + 66 / 67))
-    assert safe.support == 67
-    assert unsafe.precision == pytest.approx(0.875)
-    assert unsafe.recall == pytest.approx(0.70)
-    assert unsafe.f1 == pytest.approx(7 / 9)
-    assert unsafe.support == 10
+    assert safe["precision"] == pytest.approx(66 / 69)
+    assert safe["recall"] == pytest.approx(66 / 67)
+    assert safe["f1"] == pytest.approx(2 * (66 / 69) * (66 / 67) / (66 / 69 + 66 / 67))
+    assert safe["support"] == 67
+    assert unsafe["precision"] == pytest.approx(0.875)
+    assert unsafe["recall"] == pytest.approx(0.70)
+    assert unsafe["f1"] == pytest.approx(7 / 9)
+    assert unsafe["support"] == 10
 
 
 def test_class_metrics_perfect():
-    per = class_metrics(ConfusionMatrix(counts=((4, 0), (0, 6))))
+    per = class_metrics(((4, 0), (0, 6)))
     for m in per.values():
-        assert (m.precision, m.recall, m.f1) == (1.0, 1.0, 1.0)
+        assert (m["precision"], m["recall"], m["f1"]) == (1.0, 1.0, 1.0)
 
 
 def test_class_metrics_absent_class_all_zero():
-    per = class_metrics(ConfusionMatrix(counts=((3, 0), (0, 0))))
+    per = class_metrics(((3, 0), (0, 0)))
     unsafe = per[Label.SANDBOX]
-    assert (unsafe.precision, unsafe.recall, unsafe.f1, unsafe.support) == (0.0, 0.0, 0.0, 0)
+    assert unsafe == {"precision": 0.0, "recall": 0.0, "f1": 0.0, "support": 0}
 
 
 def test_f1_between_precision_and_recall():
     per = class_metrics(REPORT_CM)
     for m in per.values():
-        if m.precision > 0 and m.recall > 0:
-            assert min(m.precision, m.recall) <= m.f1 <= max(m.precision, m.recall)
+        if m["precision"] > 0 and m["recall"] > 0:
+            assert (min(m["precision"], m["recall"]) <= m["f1"]
+                    <= max(m["precision"], m["recall"]))
 
 
 # -- aggregates ------------------------------------------------------------------
 
 def test_aggregate_published_report():
     macro, weighted = aggregate_metrics(class_metrics(REPORT_CM))
-    assert round(macro.precision, 2) == 0.92
-    assert round(macro.recall, 2) == 0.84
-    assert round(macro.f1, 2) == 0.87
-    assert macro.support == 77
-    assert round(weighted.precision, 2) == 0.95
-    assert round(weighted.recall, 2) == 0.95
-    assert round(weighted.f1, 2) == 0.95
-    assert weighted.support == 77
+    assert round(macro["precision"], 2) == 0.92
+    assert round(macro["recall"], 2) == 0.84
+    assert round(macro["f1"], 2) == 0.87
+    assert macro["support"] == 77
+    assert round(weighted["precision"], 2) == 0.95
+    assert round(weighted["recall"], 2) == 0.95
+    assert round(weighted["f1"], 2) == 0.95
+    assert weighted["support"] == 77
 
 
 def test_aggregate_hand_example():
     per = {
-        Label.TARGET: ClassMetrics(precision=0.0, recall=0.0, f1=0.0, support=1),
-        Label.SANDBOX: ClassMetrics(precision=1.0, recall=1.0, f1=1.0, support=3),
+        Label.TARGET: {"precision": 0.0, "recall": 0.0, "f1": 0.0, "support": 1},
+        Label.SANDBOX: {"precision": 1.0, "recall": 1.0, "f1": 1.0, "support": 3},
     }
     macro, weighted = aggregate_metrics(per)
-    assert macro.precision == 0.5
-    assert weighted.precision == 0.75
-    assert macro.support == weighted.support == 4
+    assert macro["precision"] == 0.5
+    assert weighted["precision"] == 0.75
+    assert macro["support"] == weighted["support"] == 4
 
 
 def test_aggregate_equal_supports_macro_equals_weighted():
     per = {
-        Label.TARGET: ClassMetrics(precision=0.8, recall=0.6, f1=0.7, support=5),
-        Label.SANDBOX: ClassMetrics(precision=0.4, recall=0.9, f1=0.55, support=5),
+        Label.TARGET: {"precision": 0.8, "recall": 0.6, "f1": 0.7, "support": 5},
+        Label.SANDBOX: {"precision": 0.4, "recall": 0.9, "f1": 0.55, "support": 5},
     }
     macro, weighted = aggregate_metrics(per)
-    assert macro.precision == pytest.approx(weighted.precision)
-    assert macro.recall == pytest.approx(weighted.recall)
-    assert macro.f1 == pytest.approx(weighted.f1)
+    assert macro["precision"] == pytest.approx(weighted["precision"])
+    assert macro["recall"] == pytest.approx(weighted["recall"])
+    assert macro["f1"] == pytest.approx(weighted["f1"])
 
 
 def test_aggregate_identical_classes_macro_equals_weighted():
-    m = ClassMetrics(precision=0.7, recall=0.7, f1=0.7, support=9)
+    m = {"precision": 0.7, "recall": 0.7, "f1": 0.7, "support": 9}
     macro, weighted = aggregate_metrics({Label.TARGET: m, Label.SANDBOX: m})
-    assert macro.precision == weighted.precision == 0.7
+    assert macro["precision"] == weighted["precision"] == 0.7
 
 
 def test_aggregate_requires_support():
-    per = {Label.TARGET: ClassMetrics(0.0, 0.0, 0.0, 0),
-           Label.SANDBOX: ClassMetrics(0.0, 0.0, 0.0, 0)}
+    per = {Label.TARGET: {"precision": 0.0, "recall": 0.0, "f1": 0.0, "support": 0},
+           Label.SANDBOX: {"precision": 0.0, "recall": 0.0, "f1": 0.0, "support": 0}}
     with pytest.raises(ValueError):
         aggregate_metrics(per)
 
@@ -145,8 +144,8 @@ def test_aggregate_requires_support():
 
 def test_accuracy_values():
     assert accuracy(REPORT_CM) == pytest.approx(73 / 77)
-    assert accuracy(ConfusionMatrix(counts=((5, 0), (0, 5)))) == 1.0
-    assert accuracy(ConfusionMatrix(counts=((0, 4), (6, 0)))) == 0.0
+    assert accuracy(((5, 0), (0, 5))) == 1.0
+    assert accuracy(((0, 4), (6, 0))) == 0.0
 
 
 # -- regression errors ---------------------------------------------------------------
@@ -195,23 +194,23 @@ def _report_inputs():
 def test_evaluate_predictions_full_report():
     pred, actual = _report_inputs()
     report = evaluate_predictions(pred, actual)
-    assert report.confusion.counts == ((66, 1), (3, 7))
-    assert report.accuracy == pytest.approx(73 / 77)
-    assert report.weighted_avg.support == 77
-    assert report.mae is None and report.mse is None
+    assert report["confusion"] == ((66, 1), (3, 7))
+    assert report["accuracy"] == pytest.approx(73 / 77)
+    assert report["weighted_avg"]["support"] == 77
+    assert "mae" not in report and "mse" not in report
 
 
 def test_evaluate_predictions_with_probs():
     pred = [Label.TARGET, Label.SANDBOX]
     actual = [Label.TARGET, Label.SANDBOX]
     report = evaluate_predictions(pred, actual, probs=[0.2, 0.9])
-    assert report.mae == pytest.approx(0.15)
-    assert report.mse == pytest.approx(0.025)
+    assert report["mae"] == pytest.approx(0.15)
+    assert report["mse"] == pytest.approx(0.025)
 
 
 def test_report_to_dict_shape():
     pred, actual = _report_inputs()
-    doc = report_to_dict(evaluate_predictions(pred, actual))
+    doc = evaluate_predictions(pred, actual)
     assert set(doc) >= {"confusion", "per_class", "macro_avg", "weighted_avg", "accuracy"}
     assert set(doc["per_class"]) == {"safe", "unsafe"}
     assert doc["per_class"]["safe"]["support"] == 67

@@ -797,7 +797,18 @@ _STORED = SampleRecord(id="r1", received_at=1_700_000_000.0, raw_text="PID\tNAME
     lambda d: d.update(human_label=INF),
     lambda d: d["predicted"].update(label=INF),
     lambda d: d["features"].update(process_count=INF),
-], ids=["parse_warnings", "human_label", "predicted.label", "features.process_count"])
+    # a time the day-file name cannot hold, and a probability outside 0-1
+    lambda d: d.update(received_at=INF),
+    lambda d: d.update(received_at=float("nan")),
+    lambda d: d.update(received_at=1e300),
+    lambda d: d.update(received_at=1e17),
+    lambda d: d.update(received_at=-1e17),
+    lambda d: d["predicted"].update(probability=float("nan")),
+    lambda d: d["predicted"].update(probability=-INF),
+    lambda d: d["predicted"].update(probability=7),
+], ids=["parse_warnings", "human_label", "predicted.label", "features.process_count",
+        "received_at-inf", "received_at-nan", "received_at-1e300", "received_at-1e17",
+        "received_at-minus-1e17", "probability-nan", "probability-minus-inf", "probability-7"])
 def test_store_lines_with_numbers_too_big_for_int_are_skipped(tmp_path, caplog, edit):
     store = SampleStore(tmp_path)
     store.append(SampleRecord(id="good", received_at=1_700_000_000.0, raw_text="x"))
@@ -814,13 +825,23 @@ def test_store_lines_with_numbers_too_big_for_int_are_skipped(tmp_path, caplog, 
 
 
 def test_a_mutated_store_line_is_kept_or_skipped(tmp_path):
-    log = tmp_path / "samples-20231114.jsonl"
+    store_dir = tmp_path / "samples"
+    store_dir.mkdir()
 
     @settings(max_examples=300, deadline=None)
     @given(_mutated(record_to_dict(_STORED)))
     def check(doc):
-        log.write_text(json.dumps(doc) + "\n", encoding="utf-8")
-        assert len(SampleStore(tmp_path)) in (0, 1)  # and the reload did not raise
+        for path in store_dir.glob("samples-*.jsonl"):
+            path.unlink()  # the previous example's line and its label snapshot
+        (store_dir / "samples-20231114.jsonl").write_text(json.dumps(doc) + "\n",
+                                                          encoding="utf-8")
+        service = Service(ServiceConfig(data_dir=tmp_path, port=0))
+        kept = service.samples()
+        assert len(kept) in (0, 1)  # and the reload did not raise
+        for record in kept:
+            service.label(record.id, Label.TARGET)
+        # what GET /v1/samples replies with is strict JSON
+        json.dumps([record_to_dict(r) for r in service.samples()], allow_nan=False)
 
     check()
 
