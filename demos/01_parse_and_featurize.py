@@ -3,10 +3,13 @@
 Two canned hosts ship with the test suite: a production workstation with
 one interactive user, and an analysis sandbox where elevated collection
 exposes every service account. Watch how differently they compress.
+
+The service skips the per-row entries and reduces the text directly with
+featurize_text, which returns the same vector and the skipped-row count.
 """
 from pathlib import Path
 
-from proctriage import featurize, parse_process_list
+from proctriage import featurize, featurize_text, parse_process_list
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
@@ -22,6 +25,10 @@ for name in ("safe_host.txt", "sandbox_host.txt"):
     print(f"process_count = {v.process_count}   (pid 0 pseudo-process excluded)")
     print(f"user_count    = {v.user_count}   (distinct owners, floored at 1)")
     print(f"ratio         = {v.ratio}")
+
+    direct, warnings = featurize_text(text)
+    print(f"featurize_text: {direct} with {warnings} skipped row(s); "
+          f"same as featurize: {direct == v}")
     print()
 
 print("The production box runs hundreds of processes under what looks like")

@@ -65,6 +65,7 @@ from .features import (
     dataset_from_csv,
     dataset_to_csv,
     featurize,
+    featurize_text,
     fit_scaler,
     format_stats,
     load_dataset,
@@ -112,8 +113,8 @@ __all__ = [
     "UnrecognizedFormat",
     "FEATURE_NAMES", "FeatureVector", "Label", "LabeledDataset", "LabeledSample",
     "ScalerParams", "compute_stats", "dataset_from_csv", "dataset_to_csv",
-    "featurize", "fit_scaler", "format_stats", "load_dataset", "save_dataset",
-    "split_dataset",
+    "featurize", "featurize_text", "fit_scaler", "format_stats", "load_dataset",
+    "save_dataset", "split_dataset",
     "accuracy", "aggregate_metrics", "class_metrics", "confusion",
     "evaluate_predictions", "format_report", "regression_errors",
     "ProcessEntry", "ProcessList", "detect_format", "parse_process_list",

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetTooSmall, EmptyListing, MalformedDatasetFile
-from .proclist import ProcessList
+from .proclist import ProcessList, _checked_rows
 
 FEATURE_NAMES = ("process_count", "user_count", "ratio")
 
@@ -53,7 +53,20 @@ class FeatureVector:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FeatureVector":
-        return cls(int(doc["process_count"]), int(doc["user_count"]), float(doc["ratio"]))
+        return cls(_whole(doc["process_count"]), _whole(doc["user_count"]), float(doc["ratio"]))
+
+
+def _whole(value) -> int:
+    """A stored integer field: a JSON number with no fractional part.
+
+    A bool, a string or a fractional number raises rather than reading as
+    an int (``true`` as 1, ``0.9`` as 0); so do infinity and NaN.
+    """
+    if type(value) is int:
+        return value
+    if type(value) is not float or not value.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -104,6 +117,23 @@ def featurize(plist: ProcessList) -> FeatureVector:
         raise EmptyListing("no countable entries after excluding pid 0")
     owners = {e.owner.strip().casefold() for e in countable if e.owner and e.owner.strip()}
     return FeatureVector.from_counts(len(countable), max(1, len(owners)))
+
+
+def featurize_text(text: str, fmt: str | None = None, *,
+                   strict: bool = False) -> tuple[FeatureVector, int]:
+    """Reduce listing text to its feature triple and the count of rows skipped.
+
+    The same result, exceptions and log line as
+    ``featurize(parse_process_list(text, fmt, strict=strict))`` with the
+    length of that list's warnings, from the same checked rows, but with no
+    :class:`~proctriage.proclist.ProcessEntry` built per row.
+    """
+    _, rows, warnings = _checked_rows(text, fmt, strict, "")
+    countable = [row for row in rows if row[0]]
+    if not countable:
+        raise EmptyListing("no countable entries after excluding pid 0")
+    owners = {row[5].casefold() for row in countable if row[5]}
+    return FeatureVector.from_counts(len(countable), max(1, len(owners))), len(warnings)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import logging
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import starmap
 from operator import itemgetter
 
 from .errors import EmptyListing, MalformedRow, UnrecognizedFormat
@@ -114,29 +116,8 @@ def _parse_int(cell: str) -> int | None:
         return None
 
 
-def _entry(pid: str, ppid: str, arch: str, sess: str, name: str,
-           owner: str) -> ProcessEntry | str:
-    """Build an entry from one row's cells, or return why the row is rejected.
-
-    A bad pid or a blank name rejects the row.  A blank, bad or negative
-    ppid reads as 0, an unknown arch as ``unknown``, a blank or bad
-    session as None and a blank owner as None.
-    """
-    pid_n = _parse_int(pid)
-    if pid_n is None or pid_n < 0:
-        return f"non-numeric pid cell {pid!r}"
-    name = name.strip()
-    if not name:
-        return "empty name cell"
-    ppid_n = _parse_int(ppid) if ppid else 0
-    arch = arch.lower()
-    return ProcessEntry(pid_n, ppid_n if ppid_n and ppid_n > 0 else 0, name,
-                        arch if arch in (ARCH_X86, ARCH_X64) else ARCH_UNKNOWN,
-                        _parse_int(sess) if sess else None, owner.strip() or None)
-
-
 def _picker(indices):
-    """``cells -> the _entry cells at indices``; a None or out-of-row index reads ''."""
+    """``cells -> the row's cells at indices``; a None or out-of-row index reads ''."""
     indices = [-1 if i is None else i for i in indices]
     pad = [""] * (max(indices) + 2)  # every index lands, and cells[-1] is ''
     get = itemgetter(*indices)
@@ -146,10 +127,11 @@ def _picker(indices):
 def _tasklist_reader(header: str):
     """Row reader for a tasklist header; its columns are resolved once here.
 
-    Tab-split rows map cells to header columns positionally.  Space-split
-    rows lose their empty cells, so remaining cells after PID/PPID are
-    consumed by type: an arch token, then an integer session, then the
-    name, then an optional owner.
+    A reader returns a row's (pid, ppid, arch, sess, name, owner) cells, or
+    why the row is rejected.  Tab-split rows map cells to header columns
+    positionally.  Space-split rows lose their empty cells, so remaining
+    cells after PID/PPID are consumed by type: an arch token, then an
+    integer session, then the name, then an optional owner.
     """
     col_of = {tok.upper(): j for j, tok in enumerate(_split_cells(header))
               if tok.upper() in _TASKLIST_COLUMNS}
@@ -157,10 +139,10 @@ def _tasklist_reader(header: str):
         col_of = {name: j for j, name in enumerate(_TASKLIST_COLUMNS)}
     by_column = _picker(col_of.get(name) for name in _TASKLIST_COLUMNS)
 
-    def read(line: str) -> ProcessEntry | str:
-        cells = _split_cells(line)
+    def read(line: str) -> Sequence[str] | str:
         if "\t" in line:
-            return _entry(*by_column(cells))
+            return [c.strip() for c in by_column(line.split("\t"))]
+        cells = _SPACE_RUN.split(line.strip())
         if len(cells) < 3:
             return "fewer than three cells"
         pid, ppid, *rest = cells
@@ -168,7 +150,7 @@ def _tasklist_reader(header: str):
         sess = rest.pop(0) if rest and _parse_int(rest[0]) is not None else ""
         if not rest:
             return "no name cell"
-        return _entry(pid, ppid, arch, sess, rest[0], rest[1] if len(rest) > 1 else "")
+        return pid, ppid, arch, sess, rest[0], rest[1] if len(rest) > 1 else ""
     return read
 
 
@@ -182,10 +164,75 @@ def _ps_reader(header: str):
     by_column = _picker((upper.index("PID"), ppid, None, None, cmd, user))
     last = len(upper) - 1
 
-    def read(line: str) -> ProcessEntry | str:
-        cells = _split_cells(line) if "\t" in line else line.split(None, last)
-        return _entry(*by_column(cells))
+    def read(line: str) -> Sequence[str]:
+        if "\t" in line:
+            return [c.strip() for c in by_column(line.split("\t"))]
+        return by_column(line.split(None, last))
     return read
+
+
+def _checked_rows(text: str, fmt: str | None, strict: bool,
+                  source_id: str) -> tuple[str, list[tuple], list[str]]:
+    """The listing's format, its checked rows and the warnings of its skipped rows.
+
+    The one row loop of :func:`parse_process_list` and
+    ``features.featurize_text``, which makes every check, logs and raises
+    as that docstring says.  A checked row is ``(pid, ppid, arch, sess,
+    name, owner)``: the pid an int >= 0, the name trimmed and not blank,
+    the owner trimmed, the other cells as read.  At most one has pid 0.
+    """
+    if fmt not in (None, TASKLIST_TABULAR, PS_UNIX):
+        raise UnrecognizedFormat(f"unknown format hint {fmt!r}")
+    lines = text.splitlines()
+    fmt, header = _find_header(lines, fmt)
+    read = (_tasklist_reader if fmt == TASKLIST_TABULAR else _ps_reader)(lines[header])
+
+    rows: list[tuple] = []
+    warnings: list[str] = []
+    seen_pid0 = False
+    for line_no, line in enumerate(lines[header + 1:], start=header + 2):
+        bare = line.strip()
+        if not bare or bare[0] in "-=" and _RULE_LINE.match(bare):
+            continue
+        cells = read(line)
+        if isinstance(cells, str):
+            why = cells
+        else:
+            pid, ppid, arch, sess, name, owner = cells
+            pid_n, name = _parse_int(pid), name.strip()
+            if pid_n is None or pid_n < 0:
+                why = f"non-numeric pid cell {pid!r}"
+            elif not name:
+                why = "empty name cell"
+            elif pid_n == 0 and seen_pid0:
+                why = "duplicate pid-0 row"
+            else:
+                seen_pid0 = seen_pid0 or pid_n == 0
+                rows.append((pid_n, ppid, arch, sess, name, owner.strip()))
+                continue
+        if strict:
+            raise MalformedRow(line_no, why)
+        warnings.append(f"line {line_no}: skipped ({why})")
+
+    if warnings:
+        logger.warning("%s: %d row(s) skipped; first: %s",
+                       source_id or "<listing>", len(warnings), warnings[0])
+    if not rows:
+        raise EmptyListing("header present but no data rows parsed")
+    return fmt, rows, warnings
+
+
+def _entry(pid: int, ppid: str, arch: str, sess: str, name: str, owner: str) -> ProcessEntry:
+    """The entry of a checked row.
+
+    A blank, bad or negative ppid reads as 0, an unknown arch as
+    ``unknown``, a blank or bad session as None and a blank owner as None.
+    """
+    ppid_n = _parse_int(ppid) if ppid else 0
+    arch = arch.lower()
+    return ProcessEntry(pid, ppid_n if ppid_n and ppid_n > 0 else 0, name,
+                        arch if arch in (ARCH_X86, ARCH_X64) else ARCH_UNKNOWN,
+                        _parse_int(sess) if sess else None, owner or None)
 
 
 def parse_process_list(text: str, fmt: str | None = None, *, strict: bool = False,
@@ -199,37 +246,9 @@ def parse_process_list(text: str, fmt: str | None = None, *, strict: bool = Fals
     :class:`UnrecognizedFormat` when no header is found.  ``source_id``
     names the listing in the log warning about skipped rows.
     """
-    if fmt not in (None, TASKLIST_TABULAR, PS_UNIX):
-        raise UnrecognizedFormat(f"unknown format hint {fmt!r}")
-    lines = text.splitlines()
-    fmt, header = _find_header(lines, fmt)
-    read = (_tasklist_reader if fmt == TASKLIST_TABULAR else _ps_reader)(lines[header])
-
-    entries: list[ProcessEntry] = []
-    warnings: list[str] = []
-    seen_pid0 = False
-    for line_no, line in enumerate(lines[header + 1:], start=header + 2):
-        bare = line.strip()
-        if not bare or _RULE_LINE.match(bare):
-            continue
-        made = read(line)
-        if isinstance(made, ProcessEntry) and made.pid == 0:
-            if seen_pid0:
-                made = "duplicate pid-0 row"
-            seen_pid0 = True
-        if isinstance(made, str):
-            if strict:
-                raise MalformedRow(line_no, made)
-            warnings.append(f"line {line_no}: skipped ({made})")
-        else:
-            entries.append(made)
-
-    if warnings:
-        logger.warning("%s: %d row(s) skipped; first: %s",
-                       source_id or "<listing>", len(warnings), warnings[0])
-    if not entries:
-        raise EmptyListing("header present but no data rows parsed")
-    return ProcessList(entries=tuple(entries), format=fmt, warnings=tuple(warnings))
+    fmt, rows, warnings = _checked_rows(text, fmt, strict, source_id)
+    return ProcessList(entries=tuple(starmap(_entry, rows)), format=fmt,
+                       warnings=tuple(warnings))
 
 
 def serialize_process_list(plist: ProcessList) -> str:

@@ -44,10 +44,13 @@ from .features import (
     Label,
     LabeledDataset,
     LabeledSample,
+    _whole,
     dataset_to_csv,
-    featurize,
+    featurize,  # noqa: F401
+    featurize_text,
 )
-from .proclist import parse_process_list
+# unused here, but the traced benchmark replay wraps these two names in this module
+from .proclist import parse_process_list  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -55,6 +58,8 @@ MODEL_FILENAME = "model.json"
 VERDICT_DISPLAY = {Label.TARGET: "safe", Label.SANDBOX: "sandbox"}
 # refused with 413; the largest listing the service expects is well under 1 MiB
 MAX_BODY_BYTES = 16 * 1024 * 1024
+# a record id the label route can address; the service issues uuid4 hex ids
+_RECORD_ID = re.compile(r"[0-9a-fA-F-]+")
 
 
 @dataclass(frozen=True)
@@ -162,23 +167,26 @@ def record_from_dict(doc: dict) -> SampleRecord:
     """A stored record; one the service could not label or reply with raises."""
     if not isinstance(doc, dict):
         raise TypeError(f"record is {type(doc).__name__}, not an object")
+    record_id = doc["id"]
+    if not isinstance(record_id, str) or not _RECORD_ID.fullmatch(record_id):
+        raise ValueError(f"record id {record_id!r} is not one the label route can address")
     features, predicted = doc.get("features"), doc.get("predicted")
     human_label = doc.get("human_label")
     received_at = float(doc["received_at"])
     _day(received_at)  # append names the day file by it
     if predicted is not None:
-        label, prob = Label(int(predicted["label"])), float(predicted["probability"])
+        label, prob = Label(_whole(predicted["label"])), float(predicted["probability"])
         if not 0.0 <= prob <= 1.0:
             raise ValueError(f"probability {prob!r} is not from 0 to 1")
         predicted = label, prob
     return SampleRecord(
-        id=str(doc["id"]),
+        id=record_id,
         received_at=received_at,
         raw_text=str(doc["raw_text"]),
         features=None if features is None else FeatureVector.from_dict(features),
         predicted=predicted,
-        human_label=None if human_label is None else Label(int(human_label)),
-        parse_warnings=int(doc.get("parse_warnings", 0)),
+        human_label=None if human_label is None else Label(_whole(human_label)),
+        parse_warnings=_whole(doc.get("parse_warnings", 0)),
     )
 
 
@@ -315,10 +323,9 @@ class Service:
     # ingestion and labeling
 
     def _extract(self, raw_text: str) -> tuple[FeatureVector | None, int]:
-        """Parse + featurize; under the strict flag failures propagate."""
+        """Features and warning count; under the strict flag failures propagate."""
         try:
-            plist = parse_process_list(raw_text, strict=self.config.strict)
-            return featurize(plist), len(plist.warnings)
+            return featurize_text(raw_text, strict=self.config.strict)
         except TriageError:
             if self.config.strict:
                 raise
@@ -370,7 +377,7 @@ def submit_response(record: SampleRecord) -> dict:
             **verdict_doc(record.predicted, parse_warnings=record.parse_warnings)}
 
 
-_LABEL_PATH = re.compile(r"^/v1/samples/([0-9a-fA-F-]+)/label$")
+_LABEL_PATH = re.compile(rf"^/v1/samples/({_RECORD_ID.pattern})/label$")
 
 
 class _HttpError(Exception):

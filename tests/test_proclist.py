@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proctriage.errors import EmptyListing, MalformedRow, TriageError, UnrecognizedFormat
+from proctriage.features import featurize, featurize_text
 from proctriage.proclist import (
     PS_UNIX,
     TASKLIST_TABULAR,
@@ -234,13 +235,15 @@ TASKLIST_SAMPLE = (
     "612\t4\tx64\t1\texplorer.exe\tCORP\\alice\n"
 )
 _CELLS = st.one_of(st.integers(-3, 3).map(str),
-                   st.sampled_from(["", " ", "x64", "root", "System Process", "-", "?"]),
+                   st.sampled_from(["", " ", "x64", "root", "ROOT", "System Process", "-", "?",
+                                    "9" * 5000]),  # int() refuses over 4,300 digits
                    st.text(max_size=6))
 _ROWS = st.builds(lambda cells, sep: sep.join(cells),
                   st.lists(_CELLS, max_size=7), st.sampled_from(["\t", "  ", " "]))
 _LINES = st.one_of(_ROWS, st.text(max_size=20),
                    st.sampled_from(["", "----", "PID PPID USER CMD", "PID\tNAME", "banner",
-                                    "0 0 root idle", "1 -5 root init"]))
+                                    "0 0 root idle", "1 -5 root init", "7 1 ROOT init",
+                                    "9\t4\tx64\t1\tcmd.exe\tcorp\\ALICE "]))
 
 
 @st.composite
@@ -259,3 +262,28 @@ def test_any_text_parses_or_raises_triage_error(text, strict):
     except TriageError:
         return
     assert plist.format == detect_format(text)
+
+
+def test_featurize_text_equals_featurize_of_the_parsed_list(caplog):
+    def outcome(reduce):
+        """What ``reduce()`` returns or raises, and the log records it leaves."""
+        caplog.clear()
+        try:
+            result = reduce()
+        except TriageError as err:
+            result = type(err), str(err), getattr(err, "line_no", None)
+        return result, [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+
+    def parsed(text, fmt, strict):
+        plist = parse_process_list(text, fmt, strict=strict)
+        return featurize(plist), len(plist.warnings)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.text(), _mutated_listings()),
+           st.sampled_from([None, TASKLIST_TABULAR, PS_UNIX]), st.booleans())
+    def check(text, fmt, strict):
+        assert (outcome(lambda: featurize_text(text, fmt, strict=strict))
+                == outcome(lambda: parsed(text, fmt, strict)))
+
+    with caplog.at_level(logging.WARNING):
+        check()

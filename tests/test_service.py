@@ -37,6 +37,7 @@ from proctriage.service import (
     SampleStore,
     Service,
     ServiceConfig,
+    _LABEL_PATH,
     _ROUTES,
     _Handler,
     load_model,
@@ -776,18 +777,18 @@ def test_torn_tail_line_is_tolerated(tmp_path, sandbox_host_text):
 
 def test_non_object_store_lines_are_skipped(tmp_path, caplog):
     store = SampleStore(tmp_path)
-    store.append(SampleRecord(id="good", received_at=1_700_000_000.0, raw_text="x"))
+    store.append(SampleRecord(id="900d", received_at=1_700_000_000.0, raw_text="x"))
     log = next(tmp_path.glob("samples-*.jsonl"))
     with open(log, "a", encoding="utf-8") as fh:
         fh.write("null\n[1]\n42\n")
 
     with caplog.at_level(logging.WARNING, logger="proctriage.service"):
         reopened = SampleStore(tmp_path)
-    assert [r.id for r in reopened.all_records()] == ["good"]
+    assert [r.id for r in reopened.all_records()] == ["900d"]
     assert sum("unreadable row skipped" in m for m in caplog.messages) == 3
 
 
-_STORED = SampleRecord(id="r1", received_at=1_700_000_000.0, raw_text="PID\tNAME\n",
+_STORED = SampleRecord(id="a1", received_at=1_700_000_000.0, raw_text="PID\tNAME\n",
                        features=FeatureVector.from_counts(40, 4), predicted=(Label.SANDBOX, 0.9),
                        human_label=Label.SANDBOX, parse_warnings=2)
 
@@ -806,12 +807,27 @@ _STORED = SampleRecord(id="r1", received_at=1_700_000_000.0, raw_text="PID\tNAME
     lambda d: d["predicted"].update(probability=float("nan")),
     lambda d: d["predicted"].update(probability=-INF),
     lambda d: d["predicted"].update(probability=7),
+    # an id the label route cannot address
+    lambda d: d.update(id=None),
+    lambda d: d.update(id="../etc"),
+    lambda d: d.update(id=["a"]),
+    lambda d: d.update(id="a1\n"),
+    # an integer field holding a bool, a fraction or a string
+    lambda d: d.update(human_label=0.9),
+    lambda d: d.update(human_label=True),
+    lambda d: d.update(parse_warnings=True),
+    lambda d: d.update(parse_warnings="2"),
+    lambda d: d["features"].update(process_count=40.5),
+    lambda d: d["predicted"].update(label=True),
 ], ids=["parse_warnings", "human_label", "predicted.label", "features.process_count",
         "received_at-inf", "received_at-nan", "received_at-1e300", "received_at-1e17",
-        "received_at-minus-1e17", "probability-nan", "probability-minus-inf", "probability-7"])
+        "received_at-minus-1e17", "probability-nan", "probability-minus-inf", "probability-7",
+        "id-null", "id-dotdot", "id-list", "id-newline", "human_label-0.9", "human_label-true",
+        "parse_warnings-true", "parse_warnings-string", "features.process_count-40.5",
+        "predicted.label-true"])
 def test_store_lines_with_numbers_too_big_for_int_are_skipped(tmp_path, caplog, edit):
     store = SampleStore(tmp_path)
-    store.append(SampleRecord(id="good", received_at=1_700_000_000.0, raw_text="x"))
+    store.append(SampleRecord(id="900d", received_at=1_700_000_000.0, raw_text="x"))
     doc = record_to_dict(_STORED)
     edit(doc)
     log = next(tmp_path.glob("samples-*.jsonl"))
@@ -820,7 +836,7 @@ def test_store_lines_with_numbers_too_big_for_int_are_skipped(tmp_path, caplog, 
 
     with caplog.at_level(logging.WARNING, logger="proctriage.service"):
         reopened = SampleStore(tmp_path)
-    assert [r.id for r in reopened.all_records()] == ["good"]
+    assert [r.id for r in reopened.all_records()] == ["900d"]
     assert sum("unreadable row skipped" in m for m in caplog.messages) == 1
 
 
@@ -839,6 +855,7 @@ def test_a_mutated_store_line_is_kept_or_skipped(tmp_path):
         kept = service.samples()
         assert len(kept) in (0, 1)  # and the reload did not raise
         for record in kept:
+            assert _LABEL_PATH.match(f"/v1/samples/{record.id}/label")
             service.label(record.id, Label.TARGET)
         # what GET /v1/samples replies with is strict JSON
         json.dumps([record_to_dict(r) for r in service.samples()], allow_nan=False)
@@ -892,14 +909,14 @@ def test_store_snapshot_semantics(tmp_path):
 
 def test_record_dict_roundtrip():
     rec = SampleRecord(
-        id="r1", received_at=123.5, raw_text="PID\tNAME\n",
+        id="b1", received_at=123.5, raw_text="PID\tNAME\n",
         features=FeatureVector.from_counts(40, 4),
         predicted=(Label.SANDBOX, 0.93),
         human_label=Label.TARGET,
         parse_warnings=2,
     )
     assert record_from_dict(record_to_dict(rec)) == rec
-    bare = SampleRecord(id="r2", received_at=1.0, raw_text="junk")
+    bare = SampleRecord(id="b2", received_at=1.0, raw_text="junk")
     assert record_from_dict(record_to_dict(bare)) == bare
 
 
@@ -950,6 +967,36 @@ def test_verdict_and_record_bytes_are_pinned(tmp_path, with_model):
     record = replace(svc.submit(LISTING), id="r1", received_at=1.5)
     assert json.dumps(submit_response(record)) == submit
     assert json.dumps(record_to_dict(record), separators=(",", ":")) == line
+
+
+TASKLIST_HEADER = "PID\tPPID\tARCH\tSESS\tNAME\tOWNER\n"
+STRICT_422 = {
+    "tasklist-malformed-row": (TASKLIST_HEADER + "4\t0\t\t\tSystem\t\n?\t0\t\t\tbad\t\n",
+                               "MalformedRow: line 3: non-numeric pid cell '?'"),
+    "tasklist-space-short-row": (TASKLIST_HEADER + "4  0  x64  0  System\n7  4\n",
+                                 "MalformedRow: line 3: fewer than three cells"),
+    "ps-malformed-row": ("PID PPID USER CMD\n1 0 root init\nx 1 root sh\n",
+                         "MalformedRow: line 3: non-numeric pid cell 'x'"),
+    "ps-duplicate-pid0": (PS_TWO_PID0, "MalformedRow: line 3: duplicate pid-0 row"),
+    "header-only": ("PID PPID USER CMD\n", "EmptyListing: header present but no data rows parsed"),
+    "pid0-only": ("PID PPID USER CMD\n0 0 root idle\n",
+                  "EmptyListing: no countable entries after excluding pid 0"),
+    "no-header": (GARBAGE, "UnrecognizedFormat: no tasklist or ps header line found"),
+}
+
+
+@pytest.mark.parametrize("text, error", STRICT_422.values(), ids=STRICT_422.keys())
+def test_strict_mode_422_bytes_are_pinned(strict_live, text, error):
+    base, service = strict_live
+    for route in ("/v1/classify", "/v1/submit"):
+        conn = http.client.HTTPConnection("127.0.0.1", _port(base), timeout=10)
+        try:
+            conn.request("POST", route, body=text.encode("utf-8"))
+            resp = conn.getresponse()
+            assert (resp.status, resp.read()) == (422, json.dumps({"error": error}).encode())
+        finally:
+            conn.close()
+    assert len(service.store) == 0
 
 
 def test_cli_classify_out_is_the_classify_document(tmp_path):
