@@ -11,11 +11,13 @@ import io
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DatasetTooSmall, EmptyListing, MalformedDatasetFile
+# _checked_rows is private to the package: the one row loop, shared with featurize_text
 from .proclist import ProcessList, _checked_rows
 
 FEATURE_NAMES = ("process_count", "user_count", "ratio")
@@ -58,6 +60,8 @@ class FeatureVector:
 
 def _whole(value) -> int:
     """A stored integer field: a JSON number with no fractional part.
+
+    Private to the package; the service's record reload uses it too.
 
     A bool, a string or a fractional number raises rather than reading as
     an int (``true`` as 1, ``0.9`` as 0); so do infinity and NaN.
@@ -112,28 +116,28 @@ def featurize(plist: ProcessList) -> FeatureVector:
     case-insensitively after trimming; a listing with no visible owners
     still counts one user.
     """
-    countable = [e for e in plist.entries if e.pid != 0]
-    if not countable:
-        raise EmptyListing("no countable entries after excluding pid 0")
-    owners = {e.owner.strip().casefold() for e in countable if e.owner and e.owner.strip()}
-    return FeatureVector.from_counts(len(countable), max(1, len(owners)))
+    return _vector((e.pid, e.owner and e.owner.strip()) for e in plist.entries)
 
 
-def featurize_text(text: str, fmt: str | None = None, *,
-                   strict: bool = False) -> tuple[FeatureVector, int]:
+def featurize_text(text: str, *, strict: bool = False) -> tuple[FeatureVector, int]:
     """Reduce listing text to its feature triple and the count of rows skipped.
 
     The same result, exceptions and log line as
-    ``featurize(parse_process_list(text, fmt, strict=strict))`` with the
-    length of that list's warnings, from the same checked rows, but with no
+    ``featurize(parse_process_list(text, strict=strict))`` with the length
+    of that list's warnings, from the same checked rows, but with no
     :class:`~proctriage.proclist.ProcessEntry` built per row.
     """
-    _, rows, warnings = _checked_rows(text, fmt, strict, "")
-    countable = [row for row in rows if row[0]]
+    _, rows, warnings = _checked_rows(text, None, strict, "")
+    return _vector(map(itemgetter(0, 5), rows)), len(warnings)
+
+
+def _vector(pairs) -> FeatureVector:
+    """The feature triple of ``(pid, trimmed owner)`` pairs, as :func:`featurize` says."""
+    countable = [owner for pid, owner in pairs if pid]
     if not countable:
         raise EmptyListing("no countable entries after excluding pid 0")
-    owners = {row[5].casefold() for row in countable if row[5]}
-    return FeatureVector.from_counts(len(countable), max(1, len(owners))), len(warnings)
+    owners = {owner.casefold() for owner in countable if owner}
+    return FeatureVector.from_counts(len(countable), max(1, len(owners)))
 
 
 @dataclass(frozen=True)

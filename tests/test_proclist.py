@@ -274,16 +274,15 @@ def test_featurize_text_equals_featurize_of_the_parsed_list(caplog):
             result = type(err), str(err), getattr(err, "line_no", None)
         return result, [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
 
-    def parsed(text, fmt, strict):
-        plist = parse_process_list(text, fmt, strict=strict)
+    def parsed(text, strict):
+        plist = parse_process_list(text, strict=strict)
         return featurize(plist), len(plist.warnings)
 
     @settings(max_examples=400, deadline=None)
-    @given(st.one_of(st.text(), _mutated_listings()),
-           st.sampled_from([None, TASKLIST_TABULAR, PS_UNIX]), st.booleans())
-    def check(text, fmt, strict):
-        assert (outcome(lambda: featurize_text(text, fmt, strict=strict))
-                == outcome(lambda: parsed(text, fmt, strict)))
+    @given(st.one_of(st.text(), _mutated_listings()), st.booleans())
+    def check(text, strict):
+        assert (outcome(lambda: featurize_text(text, strict=strict))
+                == outcome(lambda: parsed(text, strict)))
 
     with caplog.at_level(logging.WARNING):
         check()
