@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DatasetTooSmall, EmptyNode, ModelFormatError
-from .features import FEATURE_NAMES, FeatureVector, Label, LabeledDataset, LabeledSample
+from .features import FEATURE_NAMES, FeatureVector, Label, LabeledDataset, LabeledSample, _whole
 
 TREE_SCHEMA_VERSION = "dtree-v1"
 # Deeper documents are refused: loading, saving and export recurse once
@@ -265,9 +265,9 @@ def _node_from_dict(rec: dict, depth: int = 0) -> TreeNode:
         if not math.isfinite(node.impurity):  # model.json would hold Infinity or NaN
             raise ValueError(f"impurity {node.impurity}")
         if "label" in rec:
-            node.label = Label(int(rec["label"]))
+            node.label = Label(_whole(rec["label"]))
         else:
-            node.feature_index = int(rec["feature_index"])
+            node.feature_index = _whole(rec["feature_index"])
             node.threshold = float(rec["threshold"])
             if not (0 <= node.feature_index < len(FEATURE_NAMES)
                     and math.isfinite(node.threshold)):

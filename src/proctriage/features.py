@@ -11,6 +11,7 @@ import io
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import compress
 from operator import itemgetter
 from pathlib import Path
 
@@ -61,7 +62,7 @@ class FeatureVector:
 def _whole(value) -> int:
     """A stored integer field: a JSON number with no fractional part.
 
-    Private to the package; the service's record reload uses it too.
+    Private to the package; the service's record reload and dtree use it too.
 
     A bool, a string or a fractional number raises rather than reading as
     an int (``true`` as 1, ``0.9`` as 0); so do infinity and NaN.
@@ -116,7 +117,7 @@ def featurize(plist: ProcessList) -> FeatureVector:
     case-insensitively after trimming; a listing with no visible owners
     still counts one user.
     """
-    return _vector((e.pid, e.owner and e.owner.strip()) for e in plist.entries)
+    return _vector([e.pid for e in plist.entries], [e.owner or "" for e in plist.entries])
 
 
 def featurize_text(text: str, *, strict: bool = False) -> tuple[FeatureVector, int]:
@@ -128,16 +129,17 @@ def featurize_text(text: str, *, strict: bool = False) -> tuple[FeatureVector, i
     :class:`~proctriage.proclist.ProcessEntry` built per row.
     """
     _, rows, warnings = _checked_rows(text, None, strict, "")
-    return _vector(map(itemgetter(0, 5), rows)), len(warnings)
+    return _vector(map(itemgetter(0), rows), map(itemgetter(5), rows)), len(warnings)
 
 
-def _vector(pairs) -> FeatureVector:
-    """The feature triple of ``(pid, trimmed owner)`` pairs, as :func:`featurize` says."""
-    countable = [owner for pid, owner in pairs if pid]
+def _vector(pids, owners) -> FeatureVector:
+    """The feature triple of rows' pids and owner cells, as :func:`featurize` says."""
+    countable = list(compress(owners, pids))  # owners of pid != 0 rows; C-level, no Python loop
     if not countable:
         raise EmptyListing("no countable entries after excluding pid 0")
-    owners = {owner.casefold() for owner in countable if owner}
-    return FeatureVector.from_counts(len(countable), max(1, len(owners)))
+    users = set(map(str.casefold, map(str.strip, countable)))
+    users.discard("")
+    return FeatureVector.from_counts(len(countable), max(1, len(users)))
 
 
 @dataclass(frozen=True)

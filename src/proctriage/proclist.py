@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import re
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import starmap
@@ -103,12 +104,6 @@ def detect_format(text: str) -> str:
     return _find_header(text.splitlines())[0]
 
 
-def _split_cells(line: str) -> list[str]:
-    if "\t" in line:
-        return [c.strip() for c in line.split("\t")]
-    return _SPACE_RUN.split(line.strip())
-
-
 def _parse_int(cell: str) -> int | None:
     try:
         return int(cell)
@@ -116,32 +111,29 @@ def _parse_int(cell: str) -> int | None:
         return None
 
 
-def _picker(indices):
-    """``cells -> the row's cells at indices``; a None or out-of-row index reads ''."""
-    indices = [-1 if i is None else i for i in indices]
-    pad = [""] * (max(indices) + 2)  # every index lands, and cells[-1] is ''
-    get = itemgetter(*indices)
-    return lambda cells: get(cells + pad)
+def _picker(columns):
+    """``(pick, short, pad)``: ``pick`` reads six columns of a row extended by
+    ``pad`` when shorter than ``short``; a None column reads '', so pads every row."""
+    width = max(i for i in columns if i is not None) + 1
+    short = width if None not in columns else sys.maxsize
+    return itemgetter(*(-1 if i is None else i for i in columns)), short, [""] * (width + 1)
 
 
 def _tasklist_reader(header: str):
-    """Row reader for a tasklist header; its columns are resolved once here.
+    """The six column indices of a tasklist header, by which tab rows are read,
+    and a reader of a space-aligned row's six cells, or of why it is rejected.
 
-    A reader returns a row's (pid, ppid, arch, sess, name, owner) cells, or
-    why the row is rejected.  Tab-split rows map cells to header columns
-    positionally.  Space-split rows lose their empty cells, so remaining
-    cells after PID/PPID are consumed by type: an arch token, then an
-    integer session, then the name, then an optional owner.
+    Space-split rows lose their empty cells, so the cells after PID/PPID are
+    consumed by type: an arch token, then an integer session, then the
+    name, then an optional owner.
     """
-    col_of = {tok.upper(): j for j, tok in enumerate(_split_cells(header))
-              if tok.upper() in _TASKLIST_COLUMNS}
+    cells = ([c.strip() for c in header.split("\t")] if "\t" in header
+             else _SPACE_RUN.split(header.strip()))
+    col_of = {tok.upper(): j for j, tok in enumerate(cells) if tok.upper() in _TASKLIST_COLUMNS}
     if "PID" not in col_of:  # header not cell-aligned, assume canonical order
         col_of = {name: j for j, name in enumerate(_TASKLIST_COLUMNS)}
-    by_column = _picker(col_of.get(name) for name in _TASKLIST_COLUMNS)
 
     def read(line: str) -> Sequence[str] | str:
-        if "\t" in line:
-            return [c.strip() for c in by_column(line.split("\t"))]
         cells = _SPACE_RUN.split(line.strip())
         if len(cells) < 3:
             return "fewer than three cells"
@@ -151,68 +143,72 @@ def _tasklist_reader(header: str):
         if not rest:
             return "no name cell"
         return pid, ppid, arch, sess, rest[0], rest[1] if len(rest) > 1 else ""
-    return read
+    return [col_of.get(name) for name in _TASKLIST_COLUMNS], read
 
 
 def _ps_reader(header: str):
-    """Row reader for a ps header.  Space-aligned rows are split at most once
-    per header column, so the last column keeps its inner spaces."""
+    """The six column indices of a ps header and a space-aligned row reader that splits
+    a row at most once per header column, so the last column keeps its inner spaces."""
     upper = [tok.upper() for tok in header.split()]
     cmd = next(i for i, tok in enumerate(upper) if tok in ("CMD", "COMMAND"))
     ppid = upper.index("PPID") if "PPID" in upper else None
     user = next((i for i, tok in enumerate(upper) if tok in ("USER", "UID")), None)
-    by_column = _picker((upper.index("PID"), ppid, None, None, cmd, user))
-    last = len(upper) - 1
-
-    def read(line: str) -> Sequence[str]:
-        if "\t" in line:
-            return [c.strip() for c in by_column(line.split("\t"))]
-        return by_column(line.split(None, last))
-    return read
+    columns = [upper.index("PID"), ppid, None, None, cmd, user]
+    pick, _, pad = _picker(columns)
+    return columns, lambda line: pick(line.split(None, len(upper) - 1) + pad)
 
 
 def _checked_rows(text: str, fmt: str | None, strict: bool,
                   source_id: str) -> tuple[str, list[tuple], list[str]]:
     """The listing's format, its checked rows and the warnings of its skipped rows.
 
-    The one row loop of :func:`parse_process_list` and
-    ``features.featurize_text``, which makes every check, logs and raises
-    as that docstring says.  A checked row is ``(pid, ppid, arch, sess,
-    name, owner)``: the pid an int >= 0, the name trimmed and not blank,
-    the owner trimmed, the other cells as read.  At most one has pid 0.
+    The one row loop of :func:`parse_process_list` and ``features.featurize_text``; it
+    makes every check, logs and raises as that docstring says.  A checked row is ``(pid,
+    ppid, arch, sess, name, owner)``: the pid an int >= 0 (at most one is 0), the name
+    trimmed and not blank, the other cells as read.  A good row pays only for its split,
+    one ``int()`` of the pid cell (which ignores the whitespace ``strip`` removes) and
+    one ``strip()`` of the name.
     """
     if fmt not in (None, TASKLIST_TABULAR, PS_UNIX):
         raise UnrecognizedFormat(f"unknown format hint {fmt!r}")
     lines = text.splitlines()
     fmt, header = _find_header(lines, fmt)
-    read = (_tasklist_reader if fmt == TASKLIST_TABULAR else _ps_reader)(lines[header])
+    columns, read = (_tasklist_reader if fmt == TASKLIST_TABULAR else _ps_reader)(lines[header])
+    pick, short, pad = _picker(columns)
 
-    rows: list[tuple] = []
-    warnings: list[str] = []
-    seen_pid0 = False
-    for line_no, line in enumerate(lines[header + 1:], start=header + 2):
+    rows, warnings, seen_pid0 = [], [], False
+
+    def reject(line_no: int, line: str, why: str) -> None:
         bare = line.strip()
-        if not bare or bare[0] in "-=" and _RULE_LINE.match(bare):
-            continue
-        cells = read(line)
-        if isinstance(cells, str):
-            why = cells
-        else:
-            pid, ppid, arch, sess, name, owner = cells
-            pid_n, name = _parse_int(pid), name.strip()
-            if pid_n is None or pid_n < 0:
-                why = f"non-numeric pid cell {pid!r}"
-            elif not name:
-                why = "empty name cell"
-            elif pid_n == 0 and seen_pid0:
-                why = "duplicate pid-0 row"
-            else:
-                seen_pid0 = seen_pid0 or pid_n == 0
-                rows.append((pid_n, ppid, arch, sess, name, owner.strip()))
-                continue
+        if not bare or bare[0] in "-=" and _RULE_LINE.match(bare):  # a blank or rule line: no row
+            return
         if strict:
             raise MalformedRow(line_no, why)
         warnings.append(f"line {line_no}: skipped ({why})")
+
+    for line_no, line in enumerate(lines[header + 1:], start=header + 2):
+        if "\t" in line:
+            cells = line.split("\t")
+            cells = pick(cells if len(cells) >= short else cells + pad)
+        else:
+            cells = read(line)
+            if isinstance(cells, str):
+                reject(line_no, line, cells)
+                continue
+        pid, ppid, arch, sess, name, owner = cells
+        name = name.strip()
+        try:
+            pid_n = int(pid)
+        except ValueError:
+            pid_n = -1
+        if name and (pid_n > 0 or pid_n == 0 and not seen_pid0):
+            seen_pid0 = seen_pid0 or pid_n == 0
+            rows.append((pid_n, ppid, arch, sess, name, owner))
+        elif pid_n < 0:
+            pid = pid.strip() if "\t" in line else pid  # a tab row's cell is quoted trimmed
+            reject(line_no, line, f"non-numeric pid cell {pid!r}")
+        else:
+            reject(line_no, line, "duplicate pid-0 row" if name else "empty name cell")
 
     if warnings:
         logger.warning("%s: %d row(s) skipped; first: %s",
@@ -229,10 +225,10 @@ def _entry(pid: int, ppid: str, arch: str, sess: str, name: str, owner: str) -> 
     ``unknown``, a blank or bad session as None and a blank owner as None.
     """
     ppid_n = _parse_int(ppid) if ppid else 0
-    arch = arch.lower()
+    arch = arch.strip().lower()
     return ProcessEntry(pid, ppid_n if ppid_n and ppid_n > 0 else 0, name,
                         arch if arch in (ARCH_X86, ARCH_X64) else ARCH_UNKNOWN,
-                        _parse_int(sess) if sess else None, owner or None)
+                        _parse_int(sess) if sess else None, owner.strip() or None)
 
 
 def parse_process_list(text: str, fmt: str | None = None, *, strict: bool = False,

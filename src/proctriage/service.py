@@ -167,9 +167,11 @@ def record_from_dict(doc: dict) -> SampleRecord:
     """A stored record; one the service could not label or reply with raises."""
     if not isinstance(doc, dict):
         raise TypeError(f"record is {type(doc).__name__}, not an object")
-    record_id = doc["id"]
+    record_id, raw_text = doc["id"], doc["raw_text"]
     if not isinstance(record_id, str) or not _RECORD_ID.fullmatch(record_id):
         raise ValueError(f"record id {record_id!r} is not one the label route can address")
+    if not isinstance(raw_text, str):  # GET /v1/samples serves it as the submitted listing
+        raise TypeError(f"raw_text is {type(raw_text).__name__}, not a string")
     features, predicted = doc.get("features"), doc.get("predicted")
     human_label = doc.get("human_label")
     received_at = float(doc["received_at"])
@@ -182,7 +184,7 @@ def record_from_dict(doc: dict) -> SampleRecord:
     return SampleRecord(
         id=record_id,
         received_at=received_at,
-        raw_text=str(doc["raw_text"]),
+        raw_text=raw_text,
         features=None if features is None else FeatureVector.from_dict(features),
         predicted=predicted,
         human_label=None if human_label is None else Label(_whole(human_label)),

@@ -621,6 +621,11 @@ BAD_MODELS = {
         _toy_tree_doc, lambda d: _leftmost_leaf(d["root"]).update(class_counts=[1, 0, 0])),
     "tree-class-count-1e999": lambda: _edited(
         _toy_tree_doc, lambda d: _leftmost_leaf(d["root"]).update(class_counts=[INF, 0])),
+    # a fraction or a bool where the document names a whole number
+    "tree-feature-index-2.7":
+        lambda: _edited(_toy_tree_doc, lambda d: d["root"].update(feature_index=2.7)),
+    "tree-label-true":
+        lambda: _edited(_toy_tree_doc, lambda d: _leftmost_leaf(d["root"]).update(label=True)),
     "tree-feature-index-1e999":
         lambda: _edited(_toy_tree_doc, lambda d: d["root"].update(feature_index=INF)),
     "tree-label-1e999":
@@ -819,12 +824,18 @@ _STORED = SampleRecord(id="a1", received_at=1_700_000_000.0, raw_text="PID\tNAME
     lambda d: d.update(parse_warnings="2"),
     lambda d: d["features"].update(process_count=40.5),
     lambda d: d["predicted"].update(label=True),
+    # a listing that is not a JSON string, which GET /v1/samples would serve as text
+    lambda d: d.update(raw_text=None),
+    lambda d: d.update(raw_text=5),
+    lambda d: d.update(raw_text=["a"]),
+    lambda d: d.update(raw_text={}),
 ], ids=["parse_warnings", "human_label", "predicted.label", "features.process_count",
         "received_at-inf", "received_at-nan", "received_at-1e300", "received_at-1e17",
         "received_at-minus-1e17", "probability-nan", "probability-minus-inf", "probability-7",
         "id-null", "id-dotdot", "id-list", "id-newline", "human_label-0.9", "human_label-true",
         "parse_warnings-true", "parse_warnings-string", "features.process_count-40.5",
-        "predicted.label-true"])
+        "predicted.label-true", "raw_text-null", "raw_text-5", "raw_text-list",
+        "raw_text-object"])
 def test_store_lines_with_numbers_too_big_for_int_are_skipped(tmp_path, caplog, edit):
     store = SampleStore(tmp_path)
     store.append(SampleRecord(id="900d", received_at=1_700_000_000.0, raw_text="x"))
