@@ -56,7 +56,7 @@ class FeatureVector:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FeatureVector":
-        return cls(_whole(doc["process_count"]), _whole(doc["user_count"]), float(doc["ratio"]))
+        return cls(_whole(doc["process_count"]), _whole(doc["user_count"]), _number(doc["ratio"]))
 
 
 def _whole(value) -> int:
@@ -72,6 +72,14 @@ def _whole(value) -> int:
     if type(value) is not float or not value.is_integer():
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
+
+
+def _number(value) -> float:
+    """A stored real field: a finite JSON number, read as a float.  A bool, a
+    string, infinity or NaN raises rather than reading as a number (``"3"`` as 3.0)."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
 
 
 @dataclass(frozen=True)

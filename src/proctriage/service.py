@@ -23,6 +23,7 @@ import re
 import threading
 import time
 import uuid
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -44,6 +45,7 @@ from .features import (
     Label,
     LabeledDataset,
     LabeledSample,
+    _number,
     _whole,
     dataset_to_csv,
     featurize,  # noqa: F401
@@ -163,8 +165,9 @@ def _day(received_at: float) -> str:
     return time.strftime("%Y%m%d", time.gmtime(received_at))
 
 
-def record_from_dict(doc: dict) -> SampleRecord:
-    """A stored record; one the service could not label or reply with raises."""
+def record_from_dict(doc: dict, text: bool = True) -> SampleRecord:
+    """A stored record; one the service could not label or reply with raises.
+    Without ``text`` the listing is checked but left out (``raw_text`` is "")."""
     if not isinstance(doc, dict):
         raise TypeError(f"record is {type(doc).__name__}, not an object")
     record_id, raw_text = doc["id"], doc["raw_text"]
@@ -174,17 +177,17 @@ def record_from_dict(doc: dict) -> SampleRecord:
         raise TypeError(f"raw_text is {type(raw_text).__name__}, not a string")
     features, predicted = doc.get("features"), doc.get("predicted")
     human_label = doc.get("human_label")
-    received_at = float(doc["received_at"])
+    received_at = _number(doc["received_at"])
     _day(received_at)  # append names the day file by it
     if predicted is not None:
-        label, prob = Label(_whole(predicted["label"])), float(predicted["probability"])
+        label, prob = Label(_whole(predicted["label"])), _number(predicted["probability"])
         if not 0.0 <= prob <= 1.0:
             raise ValueError(f"probability {prob!r} is not from 0 to 1")
         predicted = label, prob
     return SampleRecord(
         id=record_id,
         received_at=received_at,
-        raw_text=raw_text,
+        raw_text=raw_text if text else "",
         features=None if features is None else FeatureVector.from_dict(features),
         predicted=predicted,
         human_label=None if human_label is None else Label(_whole(human_label)),
@@ -209,53 +212,83 @@ class SampleStore:
     than rewriting history.  A day file left ending in a torn line by a
     crash gets a newline before its next record, so the fragment stays
     one unreadable row and the new record a readable one.
+
+    The index holds each record's newest snapshot without its listing,
+    and where that snapshot's line sits in its day file; ``get`` and
+    ``records`` read the listing back from the line.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        # id -> (snapshot with raw_text "", day file name, line offset, line length);
         # keeps first-submission order: re-assigning an id keeps its place
-        self._records: dict[str, SampleRecord] = {}
+        self._records: dict[str, tuple[SampleRecord, str, int, int]] = {}
         self._reload()
 
     def _reload(self) -> None:
         for path in sorted(self.root.glob("samples-*.jsonl")):
-            with open(path, encoding="utf-8") as fh:
+            with open(path, "rb") as fh:
+                end = 0
                 for line_no, line in enumerate(fh, 1):
-                    if not line.strip():
-                        continue
+                    offset, end = end, end + len(line)
                     try:
-                        record = record_from_dict(json.loads(line))
+                        text = line.decode("utf-8")
+                        if text.isspace():
+                            continue
+                        record = record_from_dict(json.loads(text), text=False)
                     except (json.JSONDecodeError, KeyError, TypeError, ValueError,
                             OverflowError, OSError):
                         # torn trailing write or manual edit; keep serving
                         logger.warning("%s:%d unreadable row skipped", path.name, line_no)
                         continue
-                    self._records[record.id] = record
+                    self._records[record.id] = record, path.name, offset, len(line)
 
     def append(self, record: SampleRecord) -> None:
         """Durably append a snapshot, then make it visible."""
-        line = json.dumps(record_to_dict(record), separators=(",", ":")) + "\n"
+        line = (json.dumps(record_to_dict(record), separators=(",", ":")) + "\n").encode("utf-8")
+        name = f"samples-{_day(record.received_at)}.jsonl"
         with self._lock:
-            with open(self.root / f"samples-{_day(record.received_at)}.jsonl", "ab+") as fh:
+            with open(self.root / name, "ab+") as fh:
                 size = fh.seek(0, os.SEEK_END)
-                if size and os.pread(fh.fileno(), 1, size - 1) != b"\n":
-                    line = "\n" + line  # end the torn line a crash left
-                fh.write(line.encode("utf-8"))
+                # end the torn line a crash left
+                torn = bool(size) and os.pread(fh.fileno(), 1, size - 1) != b"\n"
+                fh.write(b"\n" * torn + line)
                 fh.flush()
                 os.fsync(fh.fileno())
             if not size:  # new, or left empty by a crash before its entry was durable
                 _fsync_dir(self.root)
-            self._records[record.id] = record
+            self._records[record.id] = replace(record, raw_text=""), name, size + torn, len(line)
+
+    def _with_text(self, entries: list[tuple[SampleRecord, str, int, int]]) -> list[SampleRecord]:
+        """The snapshots of index ``entries``, each listing read back from its line."""
+        fds: dict[str, int] = {}
+        with ExitStack() as files:
+            out = []
+            for record, name, offset, length in entries:
+                if name not in fds:
+                    fds[name] = files.enter_context(open(self.root / name, "rb")).fileno()
+                raw_text = json.loads(os.pread(fds[name], length, offset))["raw_text"]
+                out.append(replace(record, raw_text=raw_text))
+            return out
 
     def get(self, record_id: str) -> SampleRecord | None:
         with self._lock:
-            return self._records.get(record_id)
+            entry = self._records.get(record_id)
+        return None if entry is None else self._with_text([entry])[0]
+
+    def records(self, keep: Callable[[SampleRecord], bool]) -> list[SampleRecord]:
+        """The records ``keep`` picks by their fields other than ``raw_text``,
+        in first-submission order, listings included."""
+        with self._lock:
+            entries = [e for e in self._records.values() if keep(e[0])]
+        return self._with_text(entries)
 
     def all_records(self) -> list[SampleRecord]:
+        """Every record's newest snapshot, without its listing (``raw_text`` is "")."""
         with self._lock:
-            return list(self._records.values())
+            return [record for record, *_ in self._records.values()]
 
     def __len__(self) -> int:
         with self._lock:
@@ -361,10 +394,8 @@ class Service:
         return updated
 
     def samples(self, labeled: bool | None = None) -> list[SampleRecord]:
-        records = self.store.all_records()
-        if labeled is None:
-            return records
-        return [r for r in records if (r.human_label is not None) == labeled]
+        return self.store.records(
+            lambda r: labeled is None or (r.human_label is not None) == labeled)
 
     def export_dataset(self) -> str:
         """Dataset CSV of every record carrying both features and a label."""

@@ -318,6 +318,7 @@ def _stop_server(proc):
     except subprocess.TimeoutExpired:
         proc.kill()
         proc.wait(timeout=5)
+    proc.stdout.close()
 
 
 def test_criterion_8_service_durability(announce, tmp_path):

@@ -1,5 +1,6 @@
 """Service tests: HTTP endpoints, durability, and verdict consistency."""
 
+import contextlib
 import copy
 import http.client
 import json
@@ -8,8 +9,10 @@ import os
 import re
 import socket
 import stat
+import sys
 import threading
 import time
+import tracemalloc
 import urllib.error
 import urllib.request
 from dataclasses import replace
@@ -793,6 +796,22 @@ def test_non_object_store_lines_are_skipped(tmp_path, caplog):
     assert sum("unreadable row skipped" in m for m in caplog.messages) == 3
 
 
+def test_a_store_line_that_is_not_utf8_is_skipped(tmp_path, caplog):
+    store = SampleStore(tmp_path)
+    store.append(SampleRecord(id="a1", received_at=1_700_000_000.0, raw_text="before"))
+    log = next(tmp_path.glob("samples-*.jsonl"))
+    with open(log, "ab") as fh:
+        fh.write(b"\xff\xfe garbage\n")
+    store.append(SampleRecord(id="b2", received_at=1_700_000_000.0, raw_text="after"))
+
+    with caplog.at_level(logging.WARNING, logger="proctriage.service"):
+        reopened = SampleStore(tmp_path)
+    assert [r.id for r in reopened.all_records()] == ["a1", "b2"]
+    assert [reopened.get(i).raw_text for i in ("a1", "b2")] == ["before", "after"]
+    assert [m for m in caplog.messages if "unreadable row skipped" in m] == [
+        f"{log.name}:2 unreadable row skipped"]
+
+
 _STORED = SampleRecord(id="a1", received_at=1_700_000_000.0, raw_text="PID\tNAME\n",
                        features=FeatureVector.from_counts(40, 4), predicted=(Label.SANDBOX, 0.9),
                        human_label=Label.SANDBOX, parse_warnings=2)
@@ -829,13 +848,19 @@ _STORED = SampleRecord(id="a1", received_at=1_700_000_000.0, raw_text="PID\tNAME
     lambda d: d.update(raw_text=5),
     lambda d: d.update(raw_text=["a"]),
     lambda d: d.update(raw_text={}),
+    # a real field holding a bool or a numeric string
+    lambda d: d.update(received_at=True),
+    lambda d: d.update(received_at="1700000000"),
+    lambda d: d["predicted"].update(probability=True),
+    lambda d: d["features"].update(ratio=str(d["features"]["ratio"])),
 ], ids=["parse_warnings", "human_label", "predicted.label", "features.process_count",
         "received_at-inf", "received_at-nan", "received_at-1e300", "received_at-1e17",
         "received_at-minus-1e17", "probability-nan", "probability-minus-inf", "probability-7",
         "id-null", "id-dotdot", "id-list", "id-newline", "human_label-0.9", "human_label-true",
         "parse_warnings-true", "parse_warnings-string", "features.process_count-40.5",
         "predicted.label-true", "raw_text-null", "raw_text-5", "raw_text-list",
-        "raw_text-object"])
+        "raw_text-object", "received_at-true", "received_at-string", "probability-true",
+        "features.ratio-string"])
 def test_store_lines_with_numbers_too_big_for_int_are_skipped(tmp_path, caplog, edit):
     store = SampleStore(tmp_path)
     store.append(SampleRecord(id="900d", received_at=1_700_000_000.0, raw_text="x"))
@@ -883,6 +908,87 @@ def test_record_after_a_torn_tail_survives_restart(tmp_path, sandbox_host_text):
 
     second = Service(config).submit(sandbox_host_text).id  # acknowledged
     assert [r.id for r in Service(config).samples()] == [first, second]
+
+
+def test_listing_after_a_torn_tail_reads_back(tmp_path, sandbox_host_text, safe_host_text):
+    config = ServiceConfig(data_dir=tmp_path, port=0)
+    first = Service(config).submit(sandbox_host_text).id
+    log = next((tmp_path / "samples").glob("samples-*.jsonl"))
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write('{"id": "truncated-snapsh')  # crash mid-write, then a restart
+
+    service = Service(config)
+    second = service.submit(safe_host_text).id  # after the newline that ends the fragment
+    assert service.store.get(second).raw_text == safe_host_text
+    reopened = Service(config).store
+    assert reopened.get(first).raw_text == sandbox_host_text
+    assert reopened.get(second).raw_text == safe_host_text
+
+
+def test_label_after_a_restart_keeps_the_listing(tmp_path, sandbox_host_text):
+    config = ServiceConfig(data_dir=tmp_path, port=0)
+    rid = Service(config).submit(sandbox_host_text).id
+
+    labeled = Service(config).label(rid, Label.SANDBOX)
+    assert labeled.raw_text == sandbox_host_text
+    log = next((tmp_path / "samples").glob("samples-*.jsonl"))
+    last = json.loads(log.read_text(encoding="utf-8").splitlines()[-1])
+    assert (last["raw_text"], last["human_label"]) == (sandbox_host_text, 1)
+    record = Service(config).store.get(rid)
+    assert (record.raw_text, record.human_label) == (sandbox_host_text, Label.SANDBOX)
+
+
+def test_concurrent_appends_each_read_back_their_own_listing(tmp_path):
+    store = SampleStore(tmp_path)
+    failures = []
+
+    def worker(w):
+        for n in range(50):
+            rid, text = f"{w}{n:04x}", f"PID\tNAME\n{w}\t{'x' * (n * 37 % 500)}\n"
+            store.append(SampleRecord(id=rid, received_at=1_700_000_000.0, raw_text=text))
+            if store.get(rid).raw_text != text:
+                failures.append(rid)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    listings = {r.id: r.raw_text for r in store.records(lambda r: True)}
+    assert len(listings) == 200
+    assert {r.id: r.raw_text for r in SampleStore(tmp_path).records(lambda r: True)} == listings
+
+
+def test_reload_keeps_listings_out_of_memory(tmp_path):
+    count = 200
+
+    def retained(listing: str) -> int:
+        root = tmp_path / str(len(listing))
+        store = SampleStore(root)
+        for n in range(count):
+            store.append(SampleRecord(id=f"{n:x}", received_at=1_700_000_000.0 + n,
+                                      raw_text=listing))
+        tracemalloc.start()
+        try:
+            reopened = SampleStore(root)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert reopened.get("0").raw_text == listing
+        return size
+
+    row = "1234\t4\tx64\t0\tsvchost.exe\tNT AUTHORITY\\SYSTEM\n"
+    short = "PID\tPPID\tARCH\tSESS\tNAME\tOWNER\n" + row * 200
+    small, large = retained(short), retained(short + row * 600)  # listings 4x longer
+    assert large < 1.25 * small
+    assert large < count * len(short) / 10  # a small part of one listing per record
 
 
 def test_fsyncs_cover_new_files_and_renames_but_not_each_request(tmp_path, monkeypatch):
@@ -978,6 +1084,62 @@ def test_verdict_and_record_bytes_are_pinned(tmp_path, with_model):
     record = replace(svc.submit(LISTING), id="r1", received_at=1.5)
     assert json.dumps(submit_response(record)) == submit
     assert json.dumps(record_to_dict(record), separators=(",", ":")) == line
+
+
+# labelled, unlabelled, re-labelled and featureless records; the last is on a
+# later day, so a restart reads them back in this order
+_PINNED_STORE = [
+    SampleRecord(id="a1", received_at=1_700_000_000.5, raw_text="PID PPID USER CMD\n1 0 r i\n",
+                 features=FeatureVector.from_counts(1, 1), predicted=(Label.TARGET, 0.25),
+                 human_label=Label.SANDBOX, parse_warnings=1),
+    SampleRecord(id="b2", received_at=1_700_000_060.0, raw_text="PID\tNAME\n4\tSystem\n",
+                 features=FeatureVector.from_counts(3, 2), predicted=(Label.SANDBOX, 1.0)),
+    SampleRecord(id="d4", received_at=1_700_000_120.0, raw_text="x\ty\n"),
+    SampleRecord(id="c3", received_at=1_700_100_000.0, raw_text="café ☃ no header\n"),
+]
+_A1 = ('{"id": "a1", "received_at": 1700000000.5, "raw_text": "PID PPID USER CMD\\n1 0 r i\\n", '
+       '"features": {"process_count": 1, "user_count": 1, "ratio": 1.0}, '
+       '"predicted": {"label": 0, "probability": 0.25}, "human_label": 1, "parse_warnings": 1}')
+_B2 = ('{"id": "b2", "received_at": 1700000060.0, "raw_text": "PID\\tNAME\\n4\\tSystem\\n", '
+       '"features": {"process_count": 3, "user_count": 2, "ratio": 1.5}, '
+       '"predicted": {"label": 1, "probability": 1.0}, "human_label": null, "parse_warnings": 0}')
+_C3 = ('{"id": "c3", "received_at": 1700100000.0, "raw_text": "caf\\u00e9 \\u2603 no header\\n", '
+       '"features": null, "predicted": null, "human_label": null, "parse_warnings": 0}')
+_D4 = ('{"id": "d4", "received_at": 1700000120.0, "raw_text": "x\\ty\\n", '
+       '"features": null, "predicted": null, "human_label": 1, "parse_warnings": 0}')
+_PINNED_SAMPLES = {
+    "/v1/samples": f"[{_A1}, {_B2}, {_D4}, {_C3}]",
+    "/v1/samples?labeled=true": f"[{_A1}, {_D4}]",
+    "/v1/samples?labeled=false": f"[{_B2}, {_C3}]",
+}
+
+
+def _replies(base, requests):
+    """{path: (status, body bytes)} for (method, path, body) requests sent in order."""
+    conn = http.client.HTTPConnection("127.0.0.1", _port(base), timeout=10)
+    try:
+        replies = {}
+        for method, path, body in requests:
+            conn.request(method, path, body=body)
+            resp = conn.getresponse()
+            replies[path] = resp.status, resp.read()
+        return replies
+    finally:
+        conn.close()
+
+
+def test_samples_and_label_reply_bytes_are_pinned(tmp_path):
+    serve, config = contextlib.contextmanager(_serve), ServiceConfig(data_dir=tmp_path, port=0)
+    relabel = [("POST", "/v1/samples/d4/label", json.dumps({"label": v})) for v in (0, 1)]
+    gets = [("GET", path, None) for path in _PINNED_SAMPLES]
+    pinned = {path: (200, body.encode("ascii")) for path, body in _PINNED_SAMPLES.items()}
+    with serve(config) as (base, service):
+        for record in _PINNED_STORE:
+            service.store.append(record)
+        assert _replies(base, relabel + gets) == {"/v1/samples/d4/label": (200, _D4.encode()),
+                                                  **pinned}
+    with serve(config) as (base, _):  # a restart reads every listing back from the day files
+        assert _replies(base, gets) == pinned
 
 
 TASKLIST_HEADER = "PID\tPPID\tARCH\tSESS\tNAME\tOWNER\n"
