@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DatasetTooSmall, LengthMismatch, ModelFormatError
-from .features import FeatureVector, Label, LabeledDataset, LabeledSample, ScalerParams, fit_scaler
+from .features import (FeatureVector, Label, LabeledDataset, LabeledSample, ScalerParams,
+                       _number, _typed, _whole, fit_scaler)
 
 ANN_SCHEMA_VERSION = "ann-v1"
 BCE_EPS = 1e-7
@@ -220,37 +221,29 @@ def ann_from_dict(doc: dict) -> NeuralNetModel:
     if not isinstance(doc, dict) or doc.get("version") != ANN_SCHEMA_VERSION:
         raise ModelFormatError(f"not an {ANN_SCHEMA_VERSION} document")
     try:
-        sizes = tuple(int(s) for s in doc["layer_sizes"])
-        weights = []
-        for rec, fan_in, fan_out in zip(doc["weights"], sizes[:-1], sizes[1:]):
-            if tuple(rec["shape"]) != (fan_in, fan_out):
+        sizes = tuple(map(_whole, _typed(doc["layer_sizes"], list)))
+        layers = zip(_typed(doc["weights"], list, len(sizes) - 1),
+                     _typed(doc["biases"], list, len(sizes) - 1), sizes[:-1], sizes[1:])
+        weights, biases = [], []
+        for rec, bias, fan_in, fan_out in layers:
+            rec = _typed(rec, dict)
+            if list(map(_whole, _typed(rec["shape"], list))) != [fan_in, fan_out]:
                 raise ModelFormatError(f"weight shape {rec['shape']} does not match layers")
-            weights.append(np.array(rec["data"], dtype=float).reshape(fan_in, fan_out))
-        biases = [np.array(b, dtype=float) for b in doc["biases"]]
-        if len(weights) != len(sizes) - 1 or len(biases) != len(sizes) - 1:
-            raise ModelFormatError("layer count mismatch")
-        for b, fan_out in zip(biases, sizes[1:]):
-            if b.shape != (fan_out,):
-                raise ModelFormatError(f"bias shape {b.shape} does not match layers")
-        scaler = None
-        if doc.get("scaler") is not None:
-            scaler = ScalerParams(mins=tuple(float(v) for v in doc["scaler"]["mins"]),
-                                  maxs=tuple(float(v) for v in doc["scaler"]["maxs"]))
+            weights.append(np.array([_number(v) for v in _typed(rec["data"], list)])
+                           .reshape(fan_in, fan_out))
+            biases.append(np.array([_number(v) for v in _typed(bias, list, fan_out)]))
+        scaler = doc.get("scaler")
+        if scaler is not None:
+            scaler = _typed(scaler, dict)
+            scaler = ScalerParams(mins=tuple(map(_number, _typed(scaler["mins"], list, 3))),
+                                  maxs=tuple(map(_number, _typed(scaler["maxs"], list, 3))))
         model = NeuralNetModel(layer_sizes=sizes, weights=weights, biases=biases,
-                               scaler=scaler, threshold=float(doc.get("threshold", 0.5)),
-                               seed=int(doc.get("seed", 0)))
-    except ModelFormatError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        # int() of a JSON number such as 1e999 (inf) overflows
+                               scaler=scaler, threshold=_number(doc.get("threshold", 0.5)),
+                               seed=_whole(doc.get("seed", 0)))
+    except (KeyError, ValueError) as e:
         raise ModelFormatError(str(e)) from None
     if sizes[0] != 3 or sizes[-1] != 1 or min(sizes) < 1:
         raise ModelFormatError(f"layer sizes {list(sizes)} do not run from 3 inputs to 1 output")
-    if not all(np.all(np.isfinite(w)) for w in model.parameters()):
-        raise ModelFormatError("non-finite parameter")
-    if scaler is not None and not (len(scaler.mins) == len(scaler.maxs) == 3
-                                   and np.all(np.isfinite(scaler.mins + scaler.maxs))):
-        raise ModelFormatError("scaler needs three finite mins and maxs")
     if not 0.0 <= model.threshold <= 1.0:
         raise ModelFormatError(f"threshold {model.threshold} is not a probability")
     return model

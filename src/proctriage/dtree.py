@@ -7,13 +7,13 @@ training is fully deterministic.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DatasetTooSmall, EmptyNode, ModelFormatError
-from .features import FEATURE_NAMES, FeatureVector, Label, LabeledDataset, LabeledSample, _whole
+from .features import (FEATURE_NAMES, FeatureVector, Label, LabeledDataset, LabeledSample,
+                       _number, _typed, _whole)
 
 TREE_SCHEMA_VERSION = "dtree-v1"
 # Deeper documents are refused: loading, saving and export recurse once
@@ -27,8 +27,7 @@ class TreeConfig:
     min_samples_split: int = 2
 
     def __post_init__(self):
-        # type() also refuses a bool, and the floats a JSON document may hold
-        if self.max_depth is not None and (type(self.max_depth) is not int or self.max_depth < 1):
+        if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("max_depth must be None or an integer >= 1")
         if self.min_samples_split < 2:
             raise ValueError("min_samples_split must be >= 2")
@@ -244,38 +243,29 @@ def _node_to_dict(node: TreeNode) -> dict:
     return rec
 
 
-def _class_counts(value) -> tuple[int, int]:
-    if len(value) != 2:
-        raise ValueError(f"class_counts {value!r} needs two entries")
-    return int(value[0]), int(value[1])
-
-
 def _node_from_dict(rec: dict, depth: int = 0) -> TreeNode:
     if depth > MAX_TREE_DEPTH:
         raise ModelFormatError(f"tree deeper than {MAX_TREE_DEPTH} levels")
     try:
+        rec = _typed(rec, dict)
         node = TreeNode(
-            n_samples=int(rec["n_samples"]),
-            class_counts=_class_counts(rec["class_counts"]),
-            impurity=float(rec["impurity"]),
+            n_samples=_whole(rec["n_samples"]),
+            class_counts=tuple(map(_whole, _typed(rec["class_counts"], list, 2))),
+            impurity=_number(rec["impurity"]),
         )
         # predict_proba divides by a leaf's count total
         if min(node.class_counts) < 0 or sum(node.class_counts) == 0:
             raise ValueError(f"class counts {list(node.class_counts)}")
-        if not math.isfinite(node.impurity):  # model.json would hold Infinity or NaN
-            raise ValueError(f"impurity {node.impurity}")
         if "label" in rec:
             node.label = Label(_whole(rec["label"]))
         else:
             node.feature_index = _whole(rec["feature_index"])
-            node.threshold = float(rec["threshold"])
-            if not (0 <= node.feature_index < len(FEATURE_NAMES)
-                    and math.isfinite(node.threshold)):
-                raise ValueError(f"split on feature {node.feature_index} at {node.threshold}")
+            node.threshold = _number(rec["threshold"])
+            if not 0 <= node.feature_index < len(FEATURE_NAMES):
+                raise ValueError(f"split on feature {node.feature_index}")
             node.left = _node_from_dict(rec["left"], depth + 1)
             node.right = _node_from_dict(rec["right"], depth + 1)
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        # int() of a JSON number such as 1e999 (inf) overflows
+    except (KeyError, ValueError) as e:
         raise ModelFormatError(f"bad tree node record: {e}") from None
     return node
 
@@ -297,19 +287,18 @@ def tree_from_dict(doc: dict) -> DecisionTreeModel:
     if not isinstance(doc, dict) or doc.get("version") != TREE_SCHEMA_VERSION:
         raise ModelFormatError(f"not a {TREE_SCHEMA_VERSION} document")
     try:
-        cfg = doc.get("config", {})
-        if not isinstance(cfg, dict):
-            raise TypeError(f"config is {type(cfg).__name__}, not an object")
-        config = TreeConfig(max_depth=cfg.get("max_depth"),
-                            min_samples_split=int(cfg.get("min_samples_split", 2)))
+        cfg = _typed(doc.get("config", {}), dict)
+        max_depth = cfg.get("max_depth")
+        config = TreeConfig(max_depth=None if max_depth is None else _whole(max_depth),
+                            min_samples_split=_whole(cfg.get("min_samples_split", 2)))
         # export and model info name each split's feature from this list
         if doc.get("feature_names", list(FEATURE_NAMES)) != list(FEATURE_NAMES):
             raise ValueError(f"feature_names must be {list(FEATURE_NAMES)}")
         return DecisionTreeModel(
             root=_node_from_dict(doc["root"]),
             config=config,
-            n_samples=int(doc.get("n_samples", 0)),
-            class_counts=_class_counts(doc.get("class_counts", (0, 0))),
+            n_samples=_whole(doc.get("n_samples", 0)),
+            class_counts=tuple(map(_whole, _typed(doc.get("class_counts", [0, 0]), list, 2))),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, ValueError) as e:
         raise ModelFormatError(str(e)) from None

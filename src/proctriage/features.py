@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import compress
@@ -56,13 +57,14 @@ class FeatureVector:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FeatureVector":
+        doc = _typed(doc, dict)
         return cls(_whole(doc["process_count"]), _whole(doc["user_count"]), _number(doc["ratio"]))
 
 
 def _whole(value) -> int:
-    """A stored integer field: a JSON number with no fractional part.
+    """A document's integer field: a JSON number with no fractional part.
 
-    Private to the package; the service's record reload and dtree use it too.
+    Private to the package, like the readers below; each raises ValueError.
 
     A bool, a string or a fractional number raises rather than reading as
     an int (``true`` as 1, ``0.9`` as 0); so do infinity and NaN.
@@ -75,11 +77,20 @@ def _whole(value) -> int:
 
 
 def _number(value) -> float:
-    """A stored real field: a finite JSON number, read as a float.  A bool, a
-    string, infinity or NaN raises rather than reading as a number (``"3"`` as 3.0)."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"{value!r} is not a finite number")
-    return float(value)
+    """A document's real field: a finite JSON number, read as a float.  A bool, a string,
+    infinity, NaN or an int beyond float range raises rather than reading as a number."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:  # NaN compares False
+        return float(value)
+    raise ValueError(f"{value!r} is not a finite number")
+
+
+def _typed(value, kind: type, length: int | None = None):
+    """A document's object, array or string field: ``value`` when it is exactly
+    a ``kind`` (dict, list or str), and has ``length`` entries when that is given."""
+    if type(value) is not kind or length is not None and len(value) != length:
+        raise ValueError(f"{type(value).__name__} is not a {kind.__name__}"
+                         + ("" if length is None else f" of {length} entries"))
+    return value
 
 
 @dataclass(frozen=True)
@@ -175,7 +186,8 @@ def fit_scaler(train: LabeledDataset) -> ScalerParams:
     if not len(train):
         raise DatasetTooSmall("cannot fit a scaler on an empty dataset")
     x = train.feature_matrix()
-    return ScalerParams(mins=tuple(x.min(axis=0)), maxs=tuple(x.max(axis=0)))
+    # plain floats: the network's document is read back with the strict _number
+    return ScalerParams(mins=tuple(x.min(axis=0).tolist()), maxs=tuple(x.max(axis=0).tolist()))
 
 
 def split_dataset(data: LabeledDataset, train_fraction: float, seed: int,

@@ -46,6 +46,7 @@ from .features import (
     LabeledDataset,
     LabeledSample,
     _number,
+    _typed,
     _whole,
     dataset_to_csv,
     featurize,  # noqa: F401
@@ -104,10 +105,11 @@ def load_model(doc) -> Model:
 def read_model_file(path: str | Path) -> Model:
     """Load a model JSON file; text that is not JSON is a ModelFormatError too."""
     with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as err:
-            raise ModelFormatError(f"{path}: not valid JSON ({err})") from None
+        text = fh.read()  # text that is not UTF-8 raises UnicodeDecodeError here
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as err:  # also an integer longer than int() reads
+        raise ModelFormatError(f"{path}: not valid JSON ({err})") from None
     return load_model(doc)
 
 
@@ -168,18 +170,17 @@ def _day(received_at: float) -> str:
 def record_from_dict(doc: dict, text: bool = True) -> SampleRecord:
     """A stored record; one the service could not label or reply with raises.
     Without ``text`` the listing is checked but left out (``raw_text`` is "")."""
-    if not isinstance(doc, dict):
-        raise TypeError(f"record is {type(doc).__name__}, not an object")
-    record_id, raw_text = doc["id"], doc["raw_text"]
-    if not isinstance(record_id, str) or not _RECORD_ID.fullmatch(record_id):
+    doc = _typed(doc, dict)
+    record_id = _typed(doc["id"], str)
+    if not _RECORD_ID.fullmatch(record_id):
         raise ValueError(f"record id {record_id!r} is not one the label route can address")
-    if not isinstance(raw_text, str):  # GET /v1/samples serves it as the submitted listing
-        raise TypeError(f"raw_text is {type(raw_text).__name__}, not a string")
+    raw_text = _typed(doc["raw_text"], str)  # GET /v1/samples serves it as the submitted listing
     features, predicted = doc.get("features"), doc.get("predicted")
     human_label = doc.get("human_label")
     received_at = _number(doc["received_at"])
     _day(received_at)  # append names the day file by it
     if predicted is not None:
+        predicted = _typed(predicted, dict)
         label, prob = Label(_whole(predicted["label"])), _number(predicted["probability"])
         if not 0.0 <= prob <= 1.0:
             raise ValueError(f"probability {prob!r} is not from 0 to 1")
@@ -238,9 +239,9 @@ class SampleStore:
                         if text.isspace():
                             continue
                         record = record_from_dict(json.loads(text), text=False)
-                    except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                            OverflowError, OSError):
-                        # torn trailing write or manual edit; keep serving
+                    except (KeyError, ValueError, OverflowError, OSError, RecursionError):
+                        # torn trailing write or manual edit; keep serving.  OverflowError or
+                        # OSError: a time gmtime cannot hold, or counts too big for their ratio
                         logger.warning("%s:%d unreadable row skipped", path.name, line_no)
                         continue
                     self._records[record.id] = record, path.name, offset, len(line)
@@ -434,7 +435,7 @@ def _text(body: bytes) -> str:
 def _json(body: bytes) -> dict:
     try:
         doc = json.loads(_text(body))
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer of more digits than int() reads
         raise _HttpError(400, "body is not valid JSON") from None
     except RecursionError:
         raise _HttpError(400, "JSON nested too deeply") from None
@@ -445,17 +446,19 @@ def _json(body: bytes) -> dict:
 
 def _label_reply(service: Service, body: bytes, query: str, record_id: str) -> dict:
     value = _json(body).get("label")
-    if value not in (0, 1) or isinstance(value, bool):
-        raise _HttpError(400, "label must be 0 or 1")
     try:
-        record = service.label(record_id, Label(value))
+        label = Label(_whole(value))
+    except ValueError:
+        raise _HttpError(400, "label must be 0 or 1") from None
+    try:
+        record = service.label(record_id, label)
     except KeyError:
         raise _HttpError(404, f"no sample {record_id}") from None
     return record_to_dict(record)
 
 
 def _samples_reply(service: Service, body: bytes, query: str) -> list:
-    params = parse_qs(query)
+    params = parse_qs(query, keep_blank_values=True)
     labeled = None
     if "labeled" in params:
         flag = params["labeled"][-1].lower()

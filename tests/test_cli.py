@@ -374,10 +374,12 @@ def test_classify_refuses_a_number_too_big_for_int(capsys, tree_model, tmp_path)
     doc = json.loads(tree_model.read_text())
     doc["root"]["feature_index"] = float("inf")
     bad = tmp_path / "tree.json"
-    bad.write_text(json.dumps(doc).replace("Infinity", "1e999"))
-    code, out, err = run(capsys, "classify", str(bad), "--in", f"{FIX}/safe_host.txt")
-    assert (code, out) == (1, "")
-    assert err.startswith("ModelFormatError: ")
+    # 1e999 parses to inf; json reads no integer of more than 4,300 digits
+    for number in ("1e999", "1" * 5000):
+        bad.write_text(json.dumps(doc).replace("Infinity", number))
+        code, out, err = run(capsys, "classify", str(bad), "--in", f"{FIX}/safe_host.txt")
+        assert (code, out) == (1, ""), number
+        assert err.startswith("ModelFormatError: "), number
 
 
 @pytest.mark.parametrize("command", [

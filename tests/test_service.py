@@ -446,6 +446,10 @@ def test_label_flow_and_relabel(live, sandbox_host_text):
                            json.dumps({"label": 1}), content_type="application/json")
     assert status == 200
     assert rec["human_label"] == 1
+    # a whole number written with a fraction part reads as that number
+    status, rec = _request(base, "POST", f"/v1/samples/{rid}/label",
+                           '{"label": 1.0}', content_type="application/json")
+    assert (status, rec["human_label"]) == (200, 1)
 
     # last write wins
     status, rec = _request(base, "POST", f"/v1/samples/{rid}/label",
@@ -468,7 +472,7 @@ def test_label_invalid_value_is_400(live, sandbox_host_text):
     base, _ = live
     _, sub = _request(base, "POST", "/v1/submit", sandbox_host_text)
     rid = sub["id"]
-    for bad in ("2", "true", '"1"', "null"):
+    for bad in ("2", "true", '"1"', "null", "1" * 5000):
         status, _ = _request(base, "POST", f"/v1/samples/{rid}/label",
                              f'{{"label": {bad}}}', content_type="application/json")
         assert status == 400, bad
@@ -495,8 +499,9 @@ def test_samples_listing_and_filter(live, sandbox_host_text, safe_host_text):
     _, unlabeled = _request(base, "GET", "/v1/samples?labeled=false")
     assert [r["id"] for r in unlabeled] == [b["id"]]
 
-    status, _ = _request(base, "GET", "/v1/samples?labeled=maybe")
-    assert status == 400
+    for flag in ("maybe", ""):
+        status, doc = _request(base, "GET", f"/v1/samples?labeled={flag}")
+        assert (status, doc) == (400, {"error": "labeled must be true or false"}), flag
 
 
 def test_export_empty_store_is_header_only(live):
@@ -609,6 +614,13 @@ def _chain_tree(depth):
     return '{"version": "dtree-v1", "root": ' + split * depth + leaf + "}" * depth + "}"
 
 
+def _ann_entry(where, value):
+    """A BAD_MODELS body: the toy network with the first entry of ``where`` set to ``value``."""
+    entries = {"weight": lambda d: d["weights"][0]["data"], "bias": lambda d: d["biases"][0],
+               "scaler": lambda d: d["scaler"]["mins"]}[where]
+    return lambda: _edited(_toy_ann_doc, lambda d: entries(d).__setitem__(0, value))
+
+
 BAD_MODELS = {
     "tree-feature-index-7":
         lambda: _edited(_toy_tree_doc, lambda d: d["root"].update(feature_index=7)),
@@ -660,6 +672,38 @@ BAD_MODELS = {
     "ann-seed-1e999": lambda: _edited(_toy_ann_doc, lambda d: d.update(seed=INF)),
     "ann-layer-size-1e999":
         lambda: _edited(_toy_ann_doc, lambda d: d["layer_sizes"].__setitem__(1, INF)),
+    # a field of another JSON type: a numeric string, a bool, a fraction
+    "tree-threshold-string": lambda: _edited(
+        _toy_tree_doc, lambda d: d["root"].update(threshold=str(d["root"]["threshold"]))),
+    "tree-class-counts-string-and-fraction": lambda: _edited(
+        _toy_tree_doc, lambda d: _leftmost_leaf(d["root"]).update(class_counts=["3", 2.9])),
+    "tree-class-counts-string": lambda: _edited(
+        _toy_tree_doc, lambda d: _leftmost_leaf(d["root"]).update(class_counts="12")),
+    "tree-n-samples-string": lambda: _edited(_toy_tree_doc, lambda d: d.update(n_samples="12")),
+    "tree-n-samples-12.5": lambda: _edited(_toy_tree_doc, lambda d: d.update(n_samples=12.5)),
+    "tree-node-n-samples-true":
+        lambda: _edited(_toy_tree_doc, lambda d: d["root"].update(n_samples=True)),
+    "tree-impurity-string":
+        lambda: _edited(_toy_tree_doc, lambda d: d["root"].update(impurity="0.3")),
+    "tree-impurity-true":
+        lambda: _edited(_toy_tree_doc, lambda d: d["root"].update(impurity=True)),
+    "tree-min-samples-split-string":
+        lambda: _edited(_toy_tree_doc, lambda d: d["config"].update(min_samples_split="3")),
+    "tree-min-samples-split-2.7":
+        lambda: _edited(_toy_tree_doc, lambda d: d["config"].update(min_samples_split=2.7)),
+    "ann-layer-sizes-string":
+        lambda: _edited(_toy_ann_doc, lambda d: d.update(layer_sizes="3331")),
+    "ann-layer-size-3.7":
+        lambda: _edited(_toy_ann_doc, lambda d: d.update(layer_sizes=[3, 3.7, 3, 1])),
+    "ann-seed-string": lambda: _edited(_toy_ann_doc, lambda d: d.update(seed="7")),
+    "ann-threshold-string": lambda: _edited(_toy_ann_doc, lambda d: d.update(threshold="0.5")),
+    "ann-threshold-true": lambda: _edited(_toy_ann_doc, lambda d: d.update(threshold=True)),
+    "ann-extra-weight": lambda: _edited(_toy_ann_doc, lambda d: d["weights"].append("junk")),
+    "integer-of-5000-digits": lambda: _edited(
+        _toy_tree_doc, lambda d: d.update(n_samples=INF)).replace("1e999", "1" * 5000),
+    **{f"ann-{where}-entry-{name}": _ann_entry(where, value)
+       for where in ("weight", "bias", "scaler")
+       for name, value in (("string", "0.1"), ("true", True), ("false", False))},
 }
 
 
@@ -691,15 +735,30 @@ def test_ann_model_info(live):
     assert info["model_id"]
 
 
-# each mutation deletes one field of a document or sets it to one of these
+# each mutation deletes one field of a document, sets it to one of these, or flips its type
 _POOL = [None, True, -1, 1e999, 0.5, "x", [], [1], {}]
 _DELETE = object()
+_FLIP = object()
+# fields whose absent value is null, so that a null there is no type flip
+_NULLABLE = {"max_depth", "human_label"}
 _PROBES = [FeatureVector.from_counts(pc, uc) for pc, uc in [(1, 1), (40, 4), (220, 1), (5000, 17)]]
+
+
+def _flips(key, value):
+    """``value`` written as another JSON type: a bool, null, and for a number a
+    numeric string; for an integer also a fraction, and 3.0 for 3."""
+    flips = [bool(value)] + ([] if key in _NULLABLE else [None])
+    if type(value) in (int, float):
+        flips.append(str(value))
+    if type(value) is int:
+        flips += [value + 0.5, float(value)]
+    return flips
 
 
 @st.composite
 def _mutated(draw, doc):
-    """A copy of ``doc`` with one field, at any depth, deleted or replaced."""
+    """A copy of ``doc`` with one field, at any depth, deleted, replaced or
+    type-flipped (see ``_flips``), and whether it was a type flip."""
     doc = copy.deepcopy(doc)
     node = doc
     while True:
@@ -709,12 +768,15 @@ def _mutated(draw, doc):
         if not isinstance(child, (dict, list)) or not child or draw(st.booleans()):
             break
         node = child
-    value = draw(st.sampled_from([_DELETE, *_POOL]))
+    flip = [] if isinstance(node[key], (dict, list)) else [_FLIP]  # only a leaf flips
+    value = draw(st.sampled_from([_DELETE, *_POOL, *flip]))
     if value is _DELETE:
         del node[key]
+    elif value is _FLIP:
+        node[key] = draw(st.sampled_from(_flips(key, node[key])))
     else:
         node[key] = copy.deepcopy(value)
-    return doc
+    return doc, value is _FLIP
 
 
 @pytest.fixture(scope="module")
@@ -730,11 +792,15 @@ def test_a_mutated_model_document_is_refused_or_serves(tmp_path, trained_docs, k
 
     @settings(max_examples=300, deadline=None)
     @given(_mutated(trained_docs[kind]))
-    def check(doc):
+    def check(mutant):
+        doc, flipped = mutant
         try:
             model = load_model(doc)
         except ModelFormatError:
             return
+        # a type flip is refused unless it reads as the same value
+        to_dict = tree_to_dict if kind == "dtree" else ann_to_dict
+        assert not flipped or to_dict(model.model) == trained_docs[kind]
         for v in _PROBES:
             label, prob = model.predict(v)
             assert label in (Label.TARGET, Label.SANDBOX) and 0.0 <= prob <= 1.0
@@ -788,12 +854,12 @@ def test_non_object_store_lines_are_skipped(tmp_path, caplog):
     store.append(SampleRecord(id="900d", received_at=1_700_000_000.0, raw_text="x"))
     log = next(tmp_path.glob("samples-*.jsonl"))
     with open(log, "a", encoding="utf-8") as fh:
-        fh.write("null\n[1]\n42\n")
+        fh.write("null\n[1]\n42\n" + "[" * 100_000 + "]" * 100_000 + "\n")  # last: too deep
 
     with caplog.at_level(logging.WARNING, logger="proctriage.service"):
         reopened = SampleStore(tmp_path)
     assert [r.id for r in reopened.all_records()] == ["900d"]
-    assert sum("unreadable row skipped" in m for m in caplog.messages) == 3
+    assert sum("unreadable row skipped" in m for m in caplog.messages) == 4
 
 
 def test_a_store_line_that_is_not_utf8_is_skipped(tmp_path, caplog):
@@ -853,6 +919,11 @@ _STORED = SampleRecord(id="a1", received_at=1_700_000_000.0, raw_text="PID\tNAME
     lambda d: d.update(received_at="1700000000"),
     lambda d: d["predicted"].update(probability=True),
     lambda d: d["features"].update(ratio=str(d["features"]["ratio"])),
+    # an object field holding another JSON type
+    lambda d: d.update(features="x"),
+    lambda d: d.update(predicted=[0, 0.2]),
+    # a whole count too big for the float its ratio needs
+    lambda d: d["features"].update(process_count=10**400),
 ], ids=["parse_warnings", "human_label", "predicted.label", "features.process_count",
         "received_at-inf", "received_at-nan", "received_at-1e300", "received_at-1e17",
         "received_at-minus-1e17", "probability-nan", "probability-minus-inf", "probability-7",
@@ -860,7 +931,8 @@ _STORED = SampleRecord(id="a1", received_at=1_700_000_000.0, raw_text="PID\tNAME
         "parse_warnings-true", "parse_warnings-string", "features.process_count-40.5",
         "predicted.label-true", "raw_text-null", "raw_text-5", "raw_text-list",
         "raw_text-object", "received_at-true", "received_at-string", "probability-true",
-        "features.ratio-string"])
+        "features.ratio-string", "features-string", "predicted-list",
+        "features.process_count-10^400"])
 def test_store_lines_with_numbers_too_big_for_int_are_skipped(tmp_path, caplog, edit):
     store = SampleStore(tmp_path)
     store.append(SampleRecord(id="900d", received_at=1_700_000_000.0, raw_text="x"))
@@ -882,7 +954,8 @@ def test_a_mutated_store_line_is_kept_or_skipped(tmp_path):
 
     @settings(max_examples=300, deadline=None)
     @given(_mutated(record_to_dict(_STORED)))
-    def check(doc):
+    def check(mutant):
+        doc, flipped = mutant
         for path in store_dir.glob("samples-*.jsonl"):
             path.unlink()  # the previous example's line and its label snapshot
         (store_dir / "samples-20231114.jsonl").write_text(json.dumps(doc) + "\n",
@@ -890,6 +963,8 @@ def test_a_mutated_store_line_is_kept_or_skipped(tmp_path):
         service = Service(ServiceConfig(data_dir=tmp_path, port=0))
         kept = service.samples()
         assert len(kept) in (0, 1)  # and the reload did not raise
+        # a type flip is skipped unless it reads as the same value
+        assert not flipped or kept in ([], [_STORED])
         for record in kept:
             assert _LABEL_PATH.match(f"/v1/samples/{record.id}/label")
             service.label(record.id, Label.TARGET)
