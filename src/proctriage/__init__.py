@@ -33,7 +33,6 @@ from .datagen import (
 from .dtree import (
     DecisionTreeModel,
     TreeConfig,
-    TreeNode,
     best_split,
     export_tree,
     gini,
@@ -105,7 +104,7 @@ __all__ = [
     "sigmoid", "train_ann",
     "SAFE_PROFILE", "UNSAFE_PROFILE", "ClassProfile", "FeatureProfile",
     "GenConfig", "generate_dataset", "generate_process_list",
-    "DecisionTreeModel", "TreeConfig", "TreeNode", "best_split", "export_tree",
+    "DecisionTreeModel", "TreeConfig", "best_split", "export_tree",
     "gini", "predict_proba", "predict_tree", "train_tree", "tree_from_dict",
     "tree_to_dict",
     "DatasetTooSmall", "EmptyListing", "EmptyNode", "LengthMismatch",

@@ -7,6 +7,7 @@ training is fully deterministic.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +17,9 @@ from .features import (FEATURE_NAMES, FeatureVector, Label, LabeledDataset, Labe
                        _number, _typed, _whole)
 
 TREE_SCHEMA_VERSION = "dtree-v1"
-# Deeper documents are refused: loading, saving and export recurse once
-# per level and must stay well inside the interpreter's recursion limit.
+# Deeper documents are refused: loading, both exports, the copy that
+# tree_to_dict makes and json's encoder recurse once per level, and must
+# stay well inside the interpreter's recursion limit.
 MAX_TREE_DEPTH = 200
 
 
@@ -34,24 +36,11 @@ class TreeConfig:
 
 
 @dataclass
-class TreeNode:
-    n_samples: int
-    class_counts: tuple[int, int]
-    impurity: float
-    feature_index: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    label: Label | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-@dataclass
 class DecisionTreeModel:
-    root: TreeNode
+    # the root node record of the dtree-v1 document: n_samples, class_counts
+    # [target, sandbox] and impurity, then a leaf's label (0 or 1) or a
+    # split's feature_index, threshold and left (<= threshold) and right records
+    root: dict
     config: TreeConfig
     n_samples: int = 0
     class_counts: tuple[int, int] = (0, 0)
@@ -72,9 +61,9 @@ def gini(counts: tuple[int, int]) -> float:
     return 1.0 - (p0 * p0 + p1 * p1)
 
 
-def _leaf_label(counts: tuple[int, int]) -> Label:
+def _leaf_label(counts: list[int]) -> int:
     # ties resolve to the cautious class
-    return Label.SANDBOX if counts[1] >= counts[0] else Label.TARGET
+    return int(Label.SANDBOX if counts[1] >= counts[0] else Label.TARGET)
 
 
 def _best_split_arrays(x: np.ndarray, y: np.ndarray):
@@ -116,28 +105,25 @@ def best_split(samples: list[LabeledSample]):
     return int(f), float(t), float(d)
 
 
-def _grow(x: np.ndarray, y: np.ndarray, depth: int, config: TreeConfig) -> TreeNode:
+def _grow(x: np.ndarray, y: np.ndarray, depth: int, config: TreeConfig) -> dict:
     n = len(y)
     n1 = int(y.sum())
-    counts = (n - n1, n1)
+    counts = [n - n1, n1]
     impurity = gini(counts)
-    node = TreeNode(n_samples=n, class_counts=counts, impurity=impurity)
+    node = {"n_samples": n, "class_counts": counts, "impurity": impurity}
 
     at_depth_limit = config.max_depth is not None and depth >= config.max_depth
-    if impurity == 0.0 or n < config.min_samples_split or at_depth_limit:
-        node.label = _leaf_label(counts)
-        return node
-    found = _best_split_arrays(x, y)
+    stop = impurity == 0.0 or n < config.min_samples_split or at_depth_limit
+    found = None if stop else _best_split_arrays(x, y)
     if found is None:
-        node.label = _leaf_label(counts)
+        node["label"] = _leaf_label(counts)
         return node
 
     f, t, _ = found
     mask = x[:, f] <= t
-    node.feature_index = int(f)
-    node.threshold = float(t)
-    node.left = _grow(x[mask], y[mask], depth + 1, config)
-    node.right = _grow(x[~mask], y[~mask], depth + 1, config)
+    node.update(feature_index=int(f), threshold=float(t),
+                left=_grow(x[mask], y[mask], depth + 1, config),
+                right=_grow(x[~mask], y[~mask], depth + 1, config))
     return node
 
 
@@ -148,24 +134,22 @@ def train_tree(train: LabeledDataset, config: TreeConfig | None = None) -> Decis
     config = config or TreeConfig()
     root = _grow(train.feature_matrix(), train.label_array(), 0, config)
     return DecisionTreeModel(root=root, config=config,
-                             n_samples=len(train), class_counts=root.class_counts)
+                             n_samples=len(train), class_counts=tuple(root["class_counts"]))
 
 
-def _descend(node: TreeNode, x: np.ndarray) -> TreeNode:
-    while not node.is_leaf:
-        node = node.left if x[node.feature_index] <= node.threshold else node.right
+def _descend(node: dict, x: np.ndarray) -> dict:
+    while "label" not in node:
+        node = node["left"] if x[node["feature_index"]] <= node["threshold"] else node["right"]
     return node
 
 
 def predict_tree(model: DecisionTreeModel, v: FeatureVector) -> Label:
-    leaf = _descend(model.root, v.as_array())
-    return leaf.label
+    return Label(_descend(model.root, v.as_array())["label"])
 
 
 def predict_proba(model: DecisionTreeModel, v: FeatureVector) -> float:
     """Sandbox probability: class-1 fraction of the reached leaf."""
-    leaf = _descend(model.root, v.as_array())
-    n0, n1 = leaf.class_counts
+    n0, n1 = _descend(model.root, v.as_array())["class_counts"]
     return n1 / (n0 + n1)
 
 
@@ -181,19 +165,19 @@ def export_tree(model: DecisionTreeModel, style: str = "ascii") -> str:
 def _export_ascii(model: DecisionTreeModel) -> str:
     lines: list[str] = []
 
-    def walk(node: TreeNode, indent: int):
+    def walk(node: dict, indent: int):
         pad = "  " * indent
-        if node.is_leaf:
-            n0, n1 = node.class_counts
-            lines.append(f"{pad}class: {node.label.name.lower()} "
+        if "label" in node:
+            n0, n1 = node["class_counts"]
+            lines.append(f"{pad}class: {Label(node['label']).name.lower()} "
                          f"(target={n0}, sandbox={n1})")
             return
-        name = FEATURE_NAMES[node.feature_index]
-        lines.append(f"{pad}if {name} <= {node.threshold:g}:  "
-                     f"# gini={node.impurity:.4f}, samples={node.n_samples}")
-        walk(node.left, indent + 1)
-        lines.append(f"{pad}else:  # {name} > {node.threshold:g}")
-        walk(node.right, indent + 1)
+        name = FEATURE_NAMES[node["feature_index"]]
+        lines.append(f"{pad}if {name} <= {node['threshold']:g}:  "
+                     f"# gini={node['impurity']:.4f}, samples={node['n_samples']}")
+        walk(node["left"], indent + 1)
+        lines.append(f"{pad}else:  # {name} > {node['threshold']:g}")
+        walk(node["right"], indent + 1)
 
     walk(model.root, 0)
     return "\n".join(lines) + "\n"
@@ -203,21 +187,21 @@ def _export_dot(model: DecisionTreeModel) -> str:
     lines = ["digraph decision_tree {", '  node [shape=box];']
     counter = 0
 
-    def walk(node: TreeNode) -> int:
+    def walk(node: dict) -> int:
         nonlocal counter
         nid = counter
         counter += 1
-        n0, n1 = node.class_counts
-        if node.is_leaf:
-            label = f"{node.label.name.lower()}\\ntarget={n0}, sandbox={n1}"
+        n0, n1 = node["class_counts"]
+        if "label" in node:
+            label = f"{Label(node['label']).name.lower()}\\ntarget={n0}, sandbox={n1}"
             lines.append(f'  n{nid} [label="{label}"];')
         else:
-            name = FEATURE_NAMES[node.feature_index]
-            label = (f"{name} <= {node.threshold:g}\\ngini={node.impurity:.4f}"
-                     f"\\nsamples={node.n_samples}")
+            name = FEATURE_NAMES[node["feature_index"]]
+            label = (f"{name} <= {node['threshold']:g}\\ngini={node['impurity']:.4f}"
+                     f"\\nsamples={node['n_samples']}")
             lines.append(f'  n{nid} [label="{label}"];')
-            left_id = walk(node.left)
-            right_id = walk(node.right)
+            left_id = walk(node["left"])
+            right_id = walk(node["right"])
             lines.append(f"  n{nid} -> n{left_id};")
             lines.append(f"  n{nid} -> n{right_id};")
         return nid
@@ -227,44 +211,28 @@ def _export_dot(model: DecisionTreeModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    rec = {
-        "n_samples": node.n_samples,
-        "class_counts": list(node.class_counts),
-        "impurity": node.impurity,
-    }
-    if node.is_leaf:
-        rec["label"] = int(node.label)
-    else:
-        rec["feature_index"] = node.feature_index
-        rec["threshold"] = node.threshold
-        rec["left"] = _node_to_dict(node.left)
-        rec["right"] = _node_to_dict(node.right)
-    return rec
-
-
-def _node_from_dict(rec: dict, depth: int = 0) -> TreeNode:
+def _node_from_dict(rec: dict, depth: int = 0) -> dict:
+    """A checked copy of a node record, with only the keys the tree reads."""
     if depth > MAX_TREE_DEPTH:
         raise ModelFormatError(f"tree deeper than {MAX_TREE_DEPTH} levels")
     try:
         rec = _typed(rec, dict)
-        node = TreeNode(
-            n_samples=_whole(rec["n_samples"]),
-            class_counts=tuple(map(_whole, _typed(rec["class_counts"], list, 2))),
-            impurity=_number(rec["impurity"]),
-        )
+        node = {"n_samples": _whole(rec["n_samples"]),
+                "class_counts": list(map(_whole, _typed(rec["class_counts"], list, 2))),
+                "impurity": _number(rec["impurity"])}
+        counts = node["class_counts"]
         # predict_proba divides by a leaf's count total
-        if min(node.class_counts) < 0 or sum(node.class_counts) == 0:
-            raise ValueError(f"class counts {list(node.class_counts)}")
+        if min(counts) < 0 or sum(counts) == 0:
+            raise ValueError(f"class counts {counts}")
         if "label" in rec:
-            node.label = Label(_whole(rec["label"]))
+            node["label"] = int(Label(_whole(rec["label"])))
         else:
-            node.feature_index = _whole(rec["feature_index"])
-            node.threshold = _number(rec["threshold"])
-            if not 0 <= node.feature_index < len(FEATURE_NAMES):
-                raise ValueError(f"split on feature {node.feature_index}")
-            node.left = _node_from_dict(rec["left"], depth + 1)
-            node.right = _node_from_dict(rec["right"], depth + 1)
+            f = node["feature_index"] = _whole(rec["feature_index"])
+            node["threshold"] = _number(rec["threshold"])
+            if not 0 <= f < len(FEATURE_NAMES):
+                raise ValueError(f"split on feature {f}")
+            node["left"] = _node_from_dict(rec["left"], depth + 1)
+            node["right"] = _node_from_dict(rec["right"], depth + 1)
     except (KeyError, ValueError) as e:
         raise ModelFormatError(f"bad tree node record: {e}") from None
     return node
@@ -279,7 +247,7 @@ def tree_to_dict(model: DecisionTreeModel) -> dict:
         "feature_names": list(FEATURE_NAMES),
         "n_samples": model.n_samples,
         "class_counts": list(model.class_counts),
-        "root": _node_to_dict(model.root),
+        "root": copy.deepcopy(model.root),
     }
 
 
@@ -291,6 +259,9 @@ def tree_from_dict(doc: dict) -> DecisionTreeModel:
         max_depth = cfg.get("max_depth")
         config = TreeConfig(max_depth=None if max_depth is None else _whole(max_depth),
                             min_samples_split=_whole(cfg.get("min_samples_split", 2)))
+        # only gini trees are grown; another criterion names another model
+        if doc.get("criterion", "gini") != "gini":
+            raise ValueError(f"criterion must be 'gini', not {doc['criterion']!r}")
         # export and model info name each split's feature from this list
         if doc.get("feature_names", list(FEATURE_NAMES)) != list(FEATURE_NAMES):
             raise ValueError(f"feature_names must be {list(FEATURE_NAMES)}")

@@ -173,7 +173,7 @@ def test_predict_proba_is_leaf_fraction():
 def test_leaf_tie_defaults_to_sandbox():
     data = _dataset([(10, 1, Label.TARGET), (10, 1, Label.SANDBOX)])
     model = train_tree(data)
-    assert model.root.is_leaf
+    assert "label" in model.root
     assert predict_tree(model, FeatureVector.from_counts(10, 1)) == Label.SANDBOX
 
 
@@ -183,8 +183,8 @@ def test_max_depth_limits_growth():
         (30, 1, Label.TARGET), (40, 1, Label.SANDBOX),
     ])
     model = train_tree(data, TreeConfig(max_depth=1))
-    assert not model.root.is_leaf
-    assert model.root.left.is_leaf and model.root.right.is_leaf
+    assert "label" not in model.root
+    assert "label" in model.root["left"] and "label" in model.root["right"]
 
 
 def test_min_samples_split_stops_growth():
@@ -192,13 +192,13 @@ def test_min_samples_split_stops_growth():
         (10, 1, Label.TARGET), (20, 1, Label.SANDBOX), (30, 1, Label.TARGET),
     ])
     model = train_tree(data, TreeConfig(min_samples_split=4))
-    assert model.root.is_leaf
+    assert "label" in model.root
 
 
 def test_boundary_value_goes_left():
     data = _dataset([(10, 1, Label.TARGET), (20, 1, Label.SANDBOX)])
     model = train_tree(data)
-    assert model.root.threshold == 15.0
+    assert model.root["threshold"] == 15.0
     # exactly at the threshold: left branch (target side here)
     at = FeatureVector.from_counts(15, 1)
     assert predict_tree(model, at) == Label.TARGET
@@ -265,6 +265,35 @@ def test_roundtrip_is_json_stable():
     data = _dataset([(10, 1, Label.TARGET), (40, 2, Label.SANDBOX)])
     doc = tree_to_dict(train_tree(data))
     assert json.loads(json.dumps(doc)) == doc
+
+
+def test_an_edited_document_leaves_the_model_alone():
+    data = _dataset([
+        (200, 1, Label.TARGET), (150, 1, Label.TARGET), (90, 2, Label.TARGET),
+        (30, 3, Label.SANDBOX), (25, 2, Label.SANDBOX), (40, 4, Label.SANDBOX),
+        (60, 2, Label.TARGET), (35, 2, Label.SANDBOX),
+    ])
+    model = train_tree(data, TreeConfig(max_depth=4))
+
+    def outputs():
+        return ([(predict_tree(model, s.features), predict_proba(model, s.features))
+                 for s in data], export_tree(model, "ascii"), export_tree(model, "dot"))
+
+    before = outputs()
+    root = tree_to_dict(model)["root"]
+    root["threshold"] = -1.0                # at the top of the tree
+    leaf = root["left"]
+    while "label" not in leaf:
+        leaf = leaf["left"]
+    leaf["label"] = 1 - leaf["label"]       # and below it
+    assert outputs() == before
+
+
+def test_a_document_without_a_criterion_loads():
+    data = _dataset([(10, 1, Label.TARGET), (40, 2, Label.SANDBOX)])
+    doc = tree_to_dict(train_tree(data))
+    del doc["criterion"]
+    assert tree_to_dict(tree_from_dict(doc)) == {**doc, "criterion": "gini"}
 
 
 def test_from_dict_rejects_garbage():

@@ -662,6 +662,11 @@ BAD_MODELS = {
         lambda: _edited(_toy_tree_doc, lambda d: d.update(feature_names="abc")),
     "tree-feature-names-reordered": lambda: _edited(_toy_tree_doc, lambda d: d.update(
         feature_names=["user_count", "process_count", "ratio"])),
+    # only gini trees are grown; a document may leave the criterion out, not name another
+    "tree-criterion-entropy":
+        lambda: _edited(_toy_tree_doc, lambda d: d.update(criterion="entropy")),
+    "tree-criterion-true": lambda: _edited(_toy_tree_doc, lambda d: d.update(criterion=True)),
+    "tree-criterion-null": lambda: _edited(_toy_tree_doc, lambda d: d.update(criterion=None)),
     "ann-scaler-length-2": lambda: _edited(
         _toy_ann_doc, lambda d: d["scaler"].update(mins=[9.0, 1.0], maxs=[305.0, 17.0])),
     "ann-nan-threshold":
