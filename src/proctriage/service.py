@@ -495,6 +495,21 @@ def _route(path: str) -> tuple[dict, tuple[str, ...]] | None:
     return None
 
 
+class _Headers(dict):
+    """Header fields by lower-cased name; repeats joined with ", " (RFC 9110 §5.3)."""
+
+    def get(self, name, default=None):
+        return super().get(name.lower(), default)
+
+
+class _HeaderBlock(Exception):
+    """Stands in for ``rfile``: raised where the stdlib starts on the header block."""
+
+    @classmethod
+    def readline(cls, *_):
+        raise cls
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "proctriage"
     protocol_version = "HTTP/1.1"
@@ -510,13 +525,55 @@ class _Handler(BaseHTTPRequestHandler):
     # seconds a socket read or write may block: an idle keep-alive connection,
     # a stalled body or a stalled reader is then dropped without a reply
     timeout = 30
+    _date = (None, "")  # (second, its Date header value), kept per connection
 
     @property
     def service(self) -> Service:
         return self.server.service  # type: ignore[attr-defined]
 
+    def parse_request(self):
+        # The stdlib keeps its request-line rules and replies; the header block,
+        # which it would hand to the email package, is read here line by line.
+        rfile, self.rfile = self.rfile, _HeaderBlock
+        try:
+            return super().parse_request()  # false: the request line was refused
+        except _HeaderBlock:
+            pass
+        finally:
+            self.rfile = rfile
+        self.headers = headers = _Headers()
+        for count in range(1, 102):  # http.client's limits: 100 lines, the blank one included
+            line = rfile.readline(65537)
+            if len(line) > 65536 or count > 100:
+                self.send_error(431, "Line too long" if len(line) > 65536 else "Too many headers")
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            text = line.decode("latin-1").rstrip("\r\n")
+            name, colon, value = text.partition(":")
+            # no colon, an empty name, whitespace in it or before the colon, an
+            # obs-fold line (RFC 9112 §5.2) or a bare CR: the framing is in doubt
+            if not colon or name.split() != [name] or "\r" in value:
+                self.send_error(400, f"Bad header line ({text!r})")
+                return False
+            name, value = name.lower(), value.strip(" \t")  # RFC 9110 §5.5
+            headers[name] = f"{headers[name]}, {value}" if name in headers else value
+        options = {o.strip(" \t") for o in headers.get("Connection", "").lower().split(",")}
+        if "close" in options or "keep-alive" in options:
+            self.close_connection = "close" in options
+        if (headers.get("Expect", "").lower() == "100-continue"
+                and self.request_version >= "HTTP/1.1"):
+            return self.handle_expect_100()
+        return True
+
+    def date_time_string(self, timestamp=None):
+        now = int(time.time() if timestamp is None else timestamp)
+        if self._date[0] != now:  # formatted once a second
+            self._date = now, super().date_time_string(now)
+        return self._date[1]
+
     def log_message(self, fmt, *args):
-        logger.debug("%s %s", self.address_string(), fmt % args)
+        logger.debug("%s " + fmt, self.address_string(), *args)  # formatted only at DEBUG
 
     def handle_expect_100(self):
         # the stdlib leaves "100 Continue" in the buffered wfile, but the
@@ -559,7 +616,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> bytes:
         """The declared body, read whole so the next request starts after it."""
-        length = (self.headers.get("Content-Length") or "0").strip()
+        if self.headers.get("Transfer-Encoding") is not None:
+            self.close_connection = True  # the body's end is unknown
+            raise _HttpError(501, "Transfer-Encoding is not supported")
+        length = self.headers.get("Content-Length") or "0"  # a repeat reads "5, 55"
         if not length.isdecimal():
             self.close_connection = True  # the body's end is unknown
             raise _HttpError(400, "Content-Length must be a non-negative integer")

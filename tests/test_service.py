@@ -2,7 +2,9 @@
 
 import contextlib
 import copy
+import email.utils
 import http.client
+import io
 import json
 import logging
 import os
@@ -15,6 +17,7 @@ import time
 import tracemalloc
 import urllib.error
 import urllib.request
+import uuid
 from dataclasses import replace
 
 import pytest
@@ -357,6 +360,21 @@ def test_a_request_line_without_a_readable_version_gets_a_json_body(live):
         assert json.loads(body) == {"error": error}
 
 
+@pytest.mark.parametrize("request_head, status, doc", [
+    (b"GET /v1/model", 200, {"active": False}),  # HTTP/0.9 form: served, then closed
+    (b"GET //v1/model HTTP/1.1\r\nConnection: close", 200, {"active": False}),
+    (b"GET / x HTTP/1.1", 400, {"error": "Bad request syntax ('GET / x HTTP/1.1')"}),
+    (b"POST /v1/model", 400, {"error": "Bad HTTP/0.9 request type ('POST')"}),
+], ids=["http-0.9-get", "double-slash", "four-words", "http-0.9-post"])
+def test_the_stdlib_request_line_rules_hold(live, request_head, status, doc):
+    base, _ = live
+    with socket.create_connection(("127.0.0.1", _port(base)), timeout=3) as sock:
+        sock.sendall(request_head + b"\r\n\r\n")
+        head, _, body = _read_to_eof(sock).partition(b"\r\n\r\n")
+    assert head.startswith(f"HTTP/1.1 {status} ".encode()), head
+    assert json.loads(body) == doc
+
+
 def test_duplicate_submissions_get_distinct_ids(live, sandbox_host_text):
     base, _ = live
     _, a = _request(base, "POST", "/v1/submit", sandbox_host_text)
@@ -433,6 +451,128 @@ def test_large_response_arrives_whole_on_a_keep_alive_connection(live, safe_host
         assert conn.sock is sock  # the same connection answered both
     finally:
         conn.close()
+
+
+# -- request headers -------------------------------------------------------------
+
+def _exchange(base, data):
+    """Send ``data`` on one connection; everything the server sends before it closes."""
+    with socket.create_connection(("127.0.0.1", _port(base)), timeout=3) as sock:
+        sock.sendall(data)
+        return _read_to_eof(sock)
+
+
+_BODY_55 = b"x" * 55
+# header lines and body of a POST /v1/submit whose end a server could misjudge
+_DESYNC = {
+    "chunked": (b"Transfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+                501, "Transfer-Encoding is not supported"),
+    "two-content-lengths": (b"Content-Length: 5\r\nContent-Length: 55\r\n\r\n" + _BODY_55,
+                            400, "Content-Length must be a non-negative integer"),
+    "line-without-colon": (b"X-Junk\r\nContent-Length: 5\r\n\r\nhello",
+                           400, "Bad header line ('X-Junk')"),
+    "space-before-colon": (b"Content-Length : 55\r\n\r\n" + _BODY_55,
+                           400, "Bad header line ('Content-Length : 55')"),
+    "obs-fold": (b"X-A: 1\r\n  2\r\nContent-Length: 5\r\n\r\nhello",
+                 400, "Bad header line ('  2')"),
+    "empty-name": (b": 1\r\nContent-Length: 5\r\n\r\nhello", 400, "Bad header line (': 1')"),
+    "bare-cr": (b"X-A: 1\rContent-Length: 5\r\n\r\nhello",
+                400, "Bad header line ('X-A: 1\\rContent-Length: 5')"),
+}
+
+
+@pytest.mark.parametrize("framing, status, error", _DESYNC.values(), ids=_DESYNC.keys())
+def test_framing_that_could_desync_keep_alive_gets_one_reply_and_closes(live, framing, status,
+                                                                         error):
+    base, service = live
+    pipelined = b"GET /v1/model HTTP/1.1\r\nHost: t\r\n\r\n"  # must not be served
+    reply = _exchange(base, b"POST /v1/submit HTTP/1.1\r\nHost: t\r\n" + framing + pipelined)
+    assert re.findall(rb"HTTP/1\.1 (\d{3}) ", reply) == [str(status).encode()]
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert b"\r\nConnection: close" in head
+    assert json.loads(body) == {"error": error}
+    assert len(service.store) == 0
+
+
+@pytest.mark.parametrize("lines, status", [(99, 200), (100, 431)])
+def test_a_header_block_holds_at_most_100_lines_with_the_blank_one(live, lines, status):
+    base, _ = live
+    fields = b"Connection: close\r\n" + b"X-Pad: 1\r\n" * (lines - 1)
+    reply = _exchange(base, b"GET /v1/model HTTP/1.1\r\n" + fields + b"\r\n")
+    assert reply.startswith(f"HTTP/1.1 {status} ".encode())
+    assert status == 200 or reply.endswith(b'{"error": "Too many headers"}')
+
+
+@pytest.mark.parametrize("size, status", [(65536, 200), (65537, 431)])
+def test_a_header_line_over_64_kib_is_431(live, size, status):
+    base, _ = live
+    line = b"X-Pad: " + b"a" * (size - 9) + b"\r\n"
+    assert len(line) == size
+    reply = _exchange(base, b"GET /v1/model HTTP/1.1\r\nConnection: close\r\n" + line + b"\r\n")
+    assert reply.startswith(f"HTTP/1.1 {status} ".encode())
+    assert status == 200 or reply.endswith(b'{"error": "Line too long"}')
+
+
+def _parsed(block: bytes) -> _Handler:
+    """A handler that has parsed ``GET / HTTP/1.1`` and the header ``block``, with no socket."""
+    handler = _Handler.__new__(_Handler)
+    handler.rfile, handler.wfile = io.BytesIO(block), io.BytesIO()
+    handler.raw_requestline, handler.client_address = b"GET / HTTP/1.1\r\n", ("127.0.0.1", 0)
+    assert handler.parse_request()
+    return handler
+
+
+_TOKEN_CHARS = "!#$%&'*+-.^_`|~0123456789abcdefghijklmnopqrstuvwxyz"
+_VALUE_CHARS = [c for c in map(chr, range(256)) if c.isprintable()] + ["\t"]
+
+
+@st.composite
+def _header_blocks(draw):
+    """(field names as sent, the header block): token names in random case, some
+    repeated, and printable latin-1 values with spaces and tabs anywhere."""
+    names = draw(st.lists(st.text(_TOKEN_CHARS, min_size=1, max_size=12), min_size=1, max_size=4))
+    sent, block = [], b""
+    for _ in range(draw(st.integers(1, 10))):
+        name = "".join(c.swapcase() if draw(st.booleans()) else c
+                       for c in draw(st.sampled_from(names)))
+        ows = draw(st.sampled_from(["", " ", "\t", " \t "]))
+        value = draw(st.text(st.sampled_from(_VALUE_CHARS), max_size=16))
+        sent.append(name)
+        block += f"{name}:{ows}{value}\r\n".encode("latin-1")
+    return sent, block + b"\r\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_header_blocks())
+def test_header_fields_read_as_the_stdlib_reads_them(case):
+    sent, block = case
+    headers = _parsed(block).headers
+    stdlib = http.client.parse_headers(io.BytesIO(block))
+    for name in {*sent, "X-Absent-Field"}:  # drawn names are at most 12 characters
+        values = [value.rstrip(" \t") for value in stdlib.get_all(name, [])]
+        assert headers.get(name) == (", ".join(values) if values else None)
+
+
+def test_the_date_header_is_formatted_once_a_second(monkeypatch):
+    handler, formatdate, calls = _Handler.__new__(_Handler), email.utils.formatdate, []
+    monkeypatch.setattr(email.utils, "formatdate",
+                        lambda *a, **kw: calls.append(a) or formatdate(*a, **kw))
+    dates = []
+    for now in (1_700_000_000.25, 1_700_000_000.75, 1_700_000_001.0):
+        monkeypatch.setattr(time, "time", lambda: now)
+        dates.append(handler.date_time_string())
+        assert dates[-1] == formatdate(usegmt=True)
+    assert dates[0] == dates[1] != dates[2]
+    assert len(calls) == 2  # once for each second
+
+
+def test_the_access_line_is_built_only_at_debug(live, caplog):
+    base, _ = live
+    with caplog.at_level(logging.DEBUG, logger="proctriage.service"):
+        assert _request(base, "GET", "/v1/model")[0] == 200
+    [record] = [r for r in caplog.records if r.name == "proctriage.service"]
+    assert record.getMessage() == '127.0.0.1 "GET /v1/model HTTP/1.1" 200 -'
+    assert record.msg == '%s "%s" %s %s'  # the arguments are left to the logger
 
 
 # -- labeling --------------------------------------------------------------------
@@ -1258,3 +1398,34 @@ def test_cli_classify_out_is_the_classify_document(tmp_path):
     listing.write_text(LISTING)
     assert main(["classify", str(model), "--in", str(listing), "--out", str(out)]) == 0
     assert json.dumps(json.loads(out.read_text())) == GOLDEN[True][0]
+
+
+def test_response_heads_and_stored_line_are_pinned(live, monkeypatch):
+    base, service = live
+    monkeypatch.setattr(time, "time", lambda: 1_700_000_000.5)
+    monkeypatch.setattr(uuid, "uuid4", lambda: uuid.UUID(int=7))
+    posted = f"HTTP/1.1\r\nContent-Length: {len(LISTING)}\r\n\r\n{LISTING}"
+    reply = _exchange(base, (  # one keep-alive connection, closed by the 413
+        f"POST /v1/classify {posted}POST /v1/submit {posted}GET /v1/model HTTP/1.1\r\n\r\n"
+        "GET /v1/nonsense HTTP/1.1\r\n\r\nGET /v1/classify HTTP/1.1\r\n\r\n"
+        "POST /v1/classify HTTP/1.1\r\nContent-Length: 1000000000000\r\n\r\n").encode())
+    record_id = uuid.UUID(int=7).hex
+    submitted = GOLDEN[False][1].replace('"r1"', f'"{record_id}"')
+    expected = b""
+    for status, body, extra in [
+        (200, GOLDEN[False][0], ""), (200, submitted, ""), (200, '{"active": false}', ""),
+        (404, '{"error": "no such resource"}', ""),
+        (405, '{"error": "GET not supported here"}', "Allow: POST\r\n"),
+        (413, '{"error": "body over 16777216 bytes"}', "Connection: close\r\n"),
+    ]:
+        reason = _Handler.responses[status][0]
+        expected += (f"HTTP/1.1 {status} {reason}\r\n"
+                     f"Server: {_Handler.server_version} {_Handler.sys_version}"
+                     f"\r\nDate: Tue, 14 Nov 2023 22:13:20 GMT\r\n"
+                     f"Content-Type: application/json; charset=utf-8\r\n"
+                     f"Content-Length: {len(body)}\r\n{extra}\r\n{body}").encode()
+    assert reply == expected
+    stored = (service.data_dir / "samples" / "samples-20231114.jsonl").read_text()
+    line = GOLDEN[False][2].replace('"id":"r1","received_at":1.5',
+                                    f'"id":"{record_id}","received_at":1700000000.5')
+    assert stored == line + "\n"
