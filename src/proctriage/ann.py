@@ -64,14 +64,9 @@ class LossHistory:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    # split by sign so exp never overflows
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below: exp never sees a positive power
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
 def init_network(config: AnnConfig) -> NeuralNetModel:

@@ -17,9 +17,9 @@ from .features import (FEATURE_NAMES, FeatureVector, Label, LabeledDataset, Labe
                        _number, _typed, _whole)
 
 TREE_SCHEMA_VERSION = "dtree-v1"
-# Deeper documents are refused: loading, both exports, the copy that
-# tree_to_dict makes and json's encoder recurse once per level, and must
-# stay well inside the interpreter's recursion limit.
+# Deeper documents are refused, and training stops there: growing, loading,
+# both exports, the copy that tree_to_dict makes and json's encoder recurse
+# once per level, and must stay well inside the interpreter's recursion limit.
 MAX_TREE_DEPTH = 200
 
 
@@ -112,7 +112,7 @@ def _grow(x: np.ndarray, y: np.ndarray, depth: int, config: TreeConfig) -> dict:
     impurity = gini(counts)
     node = {"n_samples": n, "class_counts": counts, "impurity": impurity}
 
-    at_depth_limit = config.max_depth is not None and depth >= config.max_depth
+    at_depth_limit = depth >= min(config.max_depth or MAX_TREE_DEPTH, MAX_TREE_DEPTH)
     stop = impurity == 0.0 or n < config.min_samples_split or at_depth_limit
     found = None if stop else _best_split_arrays(x, y)
     if found is None:
@@ -137,19 +137,22 @@ def train_tree(train: LabeledDataset, config: TreeConfig | None = None) -> Decis
                              n_samples=len(train), class_counts=tuple(root["class_counts"]))
 
 
-def _descend(node: dict, x: np.ndarray) -> dict:
+def _leaf(model: DecisionTreeModel, v: FeatureVector) -> dict:
+    """The leaf record ``v`` reaches; counts compare as floats, as in training."""
+    x = (float(v.process_count), float(v.user_count), v.ratio)
+    node = model.root
     while "label" not in node:
         node = node["left"] if x[node["feature_index"]] <= node["threshold"] else node["right"]
     return node
 
 
 def predict_tree(model: DecisionTreeModel, v: FeatureVector) -> Label:
-    return Label(_descend(model.root, v.as_array())["label"])
+    return Label(_leaf(model, v)["label"])
 
 
 def predict_proba(model: DecisionTreeModel, v: FeatureVector) -> float:
     """Sandbox probability: class-1 fraction of the reached leaf."""
-    n0, n1 = _descend(model.root, v.as_array())["class_counts"]
+    n0, n1 = _leaf(model, v)["class_counts"]
     return n1 / (n0 + n1)
 
 

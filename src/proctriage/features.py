@@ -204,20 +204,14 @@ def split_dataset(data: LabeledDataset, train_fraction: float, seed: int,
         raise DatasetTooSmall("need at least two samples to split")
 
     rng = np.random.default_rng(seed)
-    if stratified:
-        train_idx: list[int] = []
-        test_idx: list[int] = []
-        labels = data.label_array()
-        for cls in (0, 1):
-            members = np.flatnonzero(labels == cls)
-            order = members[rng.permutation(len(members))]
-            k = math.floor(train_fraction * len(order))
-            train_idx.extend(order[:k])
-            test_idx.extend(order[k:])
-    else:
-        order = rng.permutation(n)
-        k = math.floor(train_fraction * n)
-        train_idx, test_idx = list(order[:k]), list(order[k:])
+    groups = ([np.flatnonzero(data.label_array() == cls) for cls in (0, 1)] if stratified
+              else [np.arange(n)])
+    train_idx, test_idx = [], []
+    for members in groups:
+        order = members[rng.permutation(len(members))]
+        k = math.floor(train_fraction * len(order))
+        train_idx.extend(order[:k])
+        test_idx.extend(order[k:])
 
     if not train_idx or not test_idx:
         raise DatasetTooSmall(f"{n} samples at fraction {train_fraction} leaves a side empty")
@@ -225,11 +219,10 @@ def split_dataset(data: LabeledDataset, train_fraction: float, seed: int,
             LabeledDataset(tuple(data.samples[i] for i in test_idx)))
 
 
-def _stats_block(data: LabeledDataset | None) -> dict | None:
-    if data is None:
+def _stats_block(x: np.ndarray) -> dict | None:
+    if not len(x):
         return None
-    x = data.feature_matrix()
-    return {"n": len(data), "min": x.min(axis=0).tolist(), "max": x.max(axis=0).tolist(),
+    return {"n": len(x), "min": x.min(axis=0).tolist(), "max": x.max(axis=0).tolist(),
             "mean": x.mean(axis=0).tolist(), "std": x.std(axis=0).tolist()}  # population std
 
 
@@ -242,9 +235,10 @@ def compute_stats(data: LabeledDataset) -> dict:
     """
     if not len(data):
         raise DatasetTooSmall("cannot compute stats on an empty dataset")
-    return {"all": _stats_block(data),
-            "safe": _stats_block(data.subset(Label.TARGET)),
-            "unsafe": _stats_block(data.subset(Label.SANDBOX))}
+    x, labels = data.feature_matrix(), data.label_array()
+    return {"all": _stats_block(x),
+            "safe": _stats_block(x[labels == Label.TARGET]),
+            "unsafe": _stats_block(x[labels == Label.SANDBOX])}
 
 
 def format_stats(stats: dict) -> str:
@@ -308,18 +302,13 @@ def dataset_from_csv(text: str) -> LabeledDataset:
         if len(row) != len(DATASET_HEADER):
             raise MalformedDatasetFile(line_no, f"expected {len(DATASET_HEADER)} cells")
         try:
-            pc, uc = int(row[0]), int(row[1])
-            ratio = float(row[2])
-            label_val = int(row[3])
-        except ValueError as e:
-            raise MalformedDatasetFile(line_no, str(e)) from None
-        if label_val not in (0, 1):
-            raise MalformedDatasetFile(line_no, f"label must be 0 or 1, got {label_val}")
-        try:
+            pc, uc, ratio, label = int(row[0]), int(row[1]), float(row[2]), int(row[3])
+            if label not in (0, 1):
+                raise ValueError(f"label must be 0 or 1, got {label}")
             fv = FeatureVector(pc, uc, ratio)
-        except ValueError as e:
+        except (ValueError, OverflowError) as e:  # OverflowError: a count too big for its ratio
             raise MalformedDatasetFile(line_no, str(e)) from None
-        samples.append(LabeledSample(fv, Label(label_val), row[4].strip() or None))
+        samples.append(LabeledSample(fv, Label(label), row[4].strip() or None))
     if not samples:
         raise MalformedDatasetFile(len(rows), "no data rows")
     return LabeledDataset(tuple(samples))

@@ -56,6 +56,26 @@ def test_sigmoid_values_and_stability():
     np.testing.assert_allclose(sigmoid(z) + sigmoid(-z), 1.0, atol=1e-15)
 
 
+def _two_branch_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The reference: 1 / (1 + e^-z) where z >= 0, e^z / (1 + e^z) elsewhere."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_equals_the_two_branch_formula_bit_for_bit():
+    rng = np.random.default_rng(3)
+    anywhere = rng.integers(0, 2**64, 300_000, dtype=np.uint64).view(np.float64)
+    edges = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 745.0, -745.0, 1000.0, -1000.0,
+             709.78, -709.78, 36.8, -36.8, np.finfo(float).max, -np.finfo(float).max]
+    z = np.concatenate([anywhere[np.isfinite(anywhere)], rng.uniform(-1000, 1000, 300_000),
+                        rng.normal(0, 20, 300_000), edges])
+    assert np.array_equal(sigmoid(z).view(np.uint64), _two_branch_sigmoid(z).view(np.uint64))
+
+
 def test_init_is_deterministic_and_bounded():
     a = init_network(AnnConfig(seed=5))
     b = init_network(AnnConfig(seed=5))

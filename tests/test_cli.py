@@ -171,6 +171,17 @@ def test_stats_malformed_csv_is_error(capsys, tmp_path):
     assert "MalformedDatasetFile" in err
 
 
+@pytest.mark.parametrize("command", ["stats", "split", "train"])
+def test_a_count_too_big_for_its_ratio_is_a_malformed_line(capsys, tmp_path, command):
+    # process_count / user_count overflows a float: the line is refused, not a traceback
+    bad = tmp_path / "bad.csv"
+    bad.write_text("process_count,user_count,ratio,label,origin\n"
+                   "40,4,10.0,1,\n" + "9" * 401 + ",1,1.0,0,\n")
+    code, out, err = run(capsys, command, "--in", str(bad), "--out", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert err == "MalformedDatasetFile: line 3: integer division result too large for a float\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     ("datagen --n-safe -1", "negative sample count"),
     ("datagen --n-safe 0 --n-unsafe 0", "nothing to generate"),
@@ -270,6 +281,22 @@ def test_evaluate_mismatched_files_is_error(capsys, tmp_path):
     code, _, err = run(capsys, "evaluate", "--pred", str(pred), "--actual", str(actual))
     assert code == 1
     assert "LengthMismatch" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("--pred {labels}", "--pred and --actual go together"),
+    ("--actual {labels}", "--pred and --actual go together"),
+    ("{model}", "need MODEL and --in DATASET, or --pred/--actual"),
+    ("--in {data}", "need MODEL and --in DATASET, or --pred/--actual"),
+], ids=["pred-only", "actual-only", "model-only", "in-only"])
+def test_evaluate_without_its_pair_of_inputs_is_error(capsys, tree_model, dataset_csv,
+                                                      tmp_path, argv, message):
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0\n1\n")
+    code, out, err = run(capsys, "evaluate",
+                         *argv.format(labels=labels, model=tree_model, data=dataset_csv).split())
+    assert (code, out) == (1, "")
+    assert err == f"MalformedDatasetFile: line 0: {message}\n"
 
 
 def test_evaluate_bad_label_file_is_error(capsys, tmp_path):
@@ -410,6 +437,22 @@ def test_export_tree_dot(capsys, tree_model, tmp_path):
     dot = out_path.read_text()
     assert dot.count("digraph") == 1
     assert "->" in dot
+
+
+def test_train_stops_a_tree_at_the_depth_it_can_load(capsys, tmp_path):
+    # alternating labels along the counts: each split peels off about one sample,
+    # so an unbounded tree would run far past the depth a model document may have
+    rows = "".join(f"{pc},1,{pc}.0,{pc % 2},\n" for pc in range(1, 1301))
+    data, model = tmp_path / "alternating.csv", tmp_path / "tree.json"
+    data.write_text("process_count,user_count,ratio,label,origin\n" + rows)
+    code, out, err = run(capsys, "train", "--in", str(data), "--out", str(model))
+    assert (code, err) == (0, "")
+    assert "Accuracy:" in out
+    for style in ("ascii", "dot"):
+        code, out, err = run(capsys, "export-tree", str(model), "--format", style)
+        assert (code, err) == (0, "")
+    code, out, _ = run(capsys, "evaluate", str(model), "--in", str(data))
+    assert code == 0
 
 
 def test_export_tree_rejects_ann(capsys, dataset_csv, tmp_path):

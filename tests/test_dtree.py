@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proctriage.dtree import (
+    MAX_TREE_DEPTH,
     DecisionTreeModel,
     TreeConfig,
+    _leaf,
     best_split,
     export_tree,
     gini,
@@ -187,12 +189,71 @@ def test_max_depth_limits_growth():
     assert "label" in model.root["left"] and "label" in model.root["right"]
 
 
+def _depth(node: dict) -> int:
+    deepest, stack = 0, [(node, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if "label" not in node:
+            stack += [(node["left"], depth + 1), (node["right"], depth + 1)]
+    return deepest
+
+
+@pytest.mark.parametrize("max_depth", [None, 500])
+def test_growth_stops_at_the_depth_a_document_may_have(max_depth):
+    # alternating labels along the counts: each split peels off about one sample
+    data = _dataset([(pc, 1, Label(pc % 2)) for pc in range(1, 1001)])
+    model = train_tree(data, TreeConfig(max_depth=max_depth))
+    assert _depth(model.root) == MAX_TREE_DEPTH
+    doc = json.loads(json.dumps(tree_to_dict(model)))
+    assert doc["config"]["max_depth"] == max_depth
+    again = tree_from_dict(doc)
+    assert tree_to_dict(again) == doc
+    for style in ("ascii", "dot"):
+        assert export_tree(again, style) == export_tree(model, style)
+
+
 def test_min_samples_split_stops_growth():
     data = _dataset([
         (10, 1, Label.TARGET), (20, 1, Label.SANDBOX), (30, 1, Label.TARGET),
     ])
     model = train_tree(data, TreeConfig(min_samples_split=4))
     assert "label" in model.root
+
+
+def _numpy_leaf(node: dict, v: FeatureVector) -> dict:
+    """The leaf a descent over the vector as a NumPy float array reaches."""
+    x = np.array([v.process_count, v.user_count, v.ratio], dtype=float)
+    while "label" not in node:
+        node = node["left"] if x[node["feature_index"]] <= node["threshold"] else node["right"]
+    return node
+
+
+def _random_node(rng, cuts, depth: int) -> dict:
+    node = {"n_samples": 2, "class_counts": [1, 1], "impurity": 0.5}
+    if depth == 0 or rng.random() < 0.15:
+        return {**node, "label": int(rng.integers(2))}
+    f = int(rng.integers(3))
+    return {**node, "feature_index": f, "threshold": float(rng.choice(cuts[f])),
+            "left": _random_node(rng, cuts, depth - 1),
+            "right": _random_node(rng, cuts, depth - 1)}
+
+
+def test_the_leaf_lookup_matches_a_numpy_descent():
+    rng = np.random.default_rng(5)
+    # counts at and past 2**53 round when read as floats; a cut at a neighbour
+    # of such a count sends it left or right only if both reads round alike
+    counts = [1, 2, 3, 7, 40, 2**53 - 1, 2**53, 2**53 + 1, 2**53 + 3, 2**63 + 1, 2**64 - 1]
+    counts += [int(c) for c in rng.integers(2**53, 2**62, 20)] + [3**45, 7**30 + 1]
+    vectors = [FeatureVector.from_counts(pc, uc) for pc in counts
+               for uc in (1, 3, 7, pc // 3 + 1, pc) if uc <= pc]
+    x = np.array([[v.process_count, v.user_count, v.ratio] for v in vectors], dtype=float)
+    cuts = [np.concatenate([c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf)])
+            for c in x.T]
+    for _ in range(200):
+        model = DecisionTreeModel(root=_random_node(rng, cuts, 8), config=TreeConfig())
+        for v in vectors:
+            assert _leaf(model, v) is _numpy_leaf(model.root, v)
 
 
 def test_boundary_value_goes_left():

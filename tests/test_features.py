@@ -20,6 +20,7 @@ from proctriage.features import (
     dataset_to_csv,
     featurize,
     fit_scaler,
+    format_stats,
     load_dataset,
     save_dataset,
     split_dataset,
@@ -237,6 +238,31 @@ def test_csv_rejects_bad_cells():
         dataset_from_csv("")
 
 
+def test_csv_refuses_a_row_of_the_wrong_width_and_skips_blank_rows():
+    head = ",".join(DATASET_HEADER) + "\n"
+    data = dataset_from_csv(head + "\n , ,,,\t\n40,4,10.0,1,h\n")
+    assert [(s.features, s.label, s.origin) for s in data] == [
+        (FeatureVector(40, 4, 10.0), Label.SANDBOX, "h")]
+    with pytest.raises(MalformedDatasetFile) as err:
+        dataset_from_csv(head + "40,4,10.0,1,h\n\n40,4,10.0,1\n")
+    assert str(err.value) == "line 4: expected 5 cells"
+
+
+def test_csv_cells_are_checked_in_order_with_their_own_messages():
+    head = ",".join(DATASET_HEADER) + "\n"
+    for row, message in [
+        ("x,1,1.0,7,", "invalid literal for int() with base 10: 'x'"),
+        ("4,1,four,7,", "could not convert string to float: 'four'"),
+        ("4,1,4.0,7,", "label must be 0 or 1, got 7"),
+        ("4,5,0.8,0,", "user_count exceeds process_count"),
+        ("4,1,9.0,0,", "ratio is not process_count / user_count"),
+        ("1" + "0" * 400 + ",1,1.0,0,", "integer division result too large for a float"),
+    ]:
+        with pytest.raises(MalformedDatasetFile) as err:
+            dataset_from_csv(head + "40,4,10.0,1,\n" + row + "\n")
+        assert str(err.value) == f"line 3: {message}", row
+
+
 # -- stats -------------------------------------------------------------------
 
 def test_compute_stats_values():
@@ -255,6 +281,7 @@ def test_compute_stats_single_class():
     stats = compute_stats(data)
     assert stats["unsafe"] is None
     assert stats["safe"] is not None
+    assert "Unsafe" not in format_stats(stats)
 
 
 def test_compute_stats_empty_raises():

@@ -621,6 +621,34 @@ def test_label_invalid_value_is_400(live, sandbox_host_text):
     assert status == 400
 
 
+@pytest.mark.parametrize("path", ["/v1/model", "/v1/samples/{rid}/label"])
+def test_a_json_body_that_is_not_an_object_is_400(live, sandbox_host_text, path):
+    base, service = live
+    _, sub = _request(base, "POST", "/v1/submit", sandbox_host_text)
+    for body in ("[1]", "1", '"label"', "null"):
+        status, doc = _request(base, "POST", path.format(rid=sub["id"]), body,
+                               content_type="application/json")
+        assert (status, doc) == (400, {"error": "JSON object expected"}), body
+    assert service.model_info() == {"active": False}
+    assert service.store.get(sub["id"]).human_label is None
+
+
+def test_an_unhandled_exception_is_a_logged_500(live, monkeypatch, caplog):
+    base, service = live
+
+    def broken(raw_text):
+        raise RuntimeError("broken on purpose")
+
+    monkeypatch.setattr(service, "classify", broken)
+    with caplog.at_level(logging.ERROR, logger="proctriage.service"):
+        status, doc = _request(base, "POST", "/v1/classify", "PID NAME\n")
+    assert (status, doc) == (500, {"error": "internal error"})
+    [record] = [r for r in caplog.records if r.name == "proctriage.service"]
+    assert record.getMessage() == "unhandled error serving POST /v1/classify"
+    assert record.exc_info[0] is RuntimeError
+    assert _request(base, "GET", "/v1/model") == (200, {"active": False})
+
+
 # -- listing and export -------------------------------------------------------------
 
 def test_samples_listing_and_filter(live, sandbox_host_text, safe_host_text):
@@ -1021,6 +1049,21 @@ def test_a_store_line_that_is_not_utf8_is_skipped(tmp_path, caplog):
     assert [reopened.get(i).raw_text for i in ("a1", "b2")] == ["before", "after"]
     assert [m for m in caplog.messages if "unreadable row skipped" in m] == [
         f"{log.name}:2 unreadable row skipped"]
+
+
+def test_a_whitespace_only_store_line_is_skipped_without_a_warning(tmp_path, caplog):
+    store = SampleStore(tmp_path)
+    store.append(SampleRecord(id="a1", received_at=1_700_000_000.0, raw_text="before"))
+    log = next(tmp_path.glob("samples-*.jsonl"))
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write(" \t\n\n")
+    store.append(SampleRecord(id="b2", received_at=1_700_000_000.0, raw_text="after"))
+
+    with caplog.at_level(logging.WARNING, logger="proctriage.service"):
+        reopened = SampleStore(tmp_path)
+    assert [r.id for r in reopened.all_records()] == ["a1", "b2"]
+    assert [reopened.get(i).raw_text for i in ("a1", "b2")] == ["before", "after"]
+    assert caplog.messages == []
 
 
 _STORED = SampleRecord(id="a1", received_at=1_700_000_000.0, raw_text="PID\tNAME\n",
