@@ -451,8 +451,6 @@ def test_train_stops_a_tree_at_the_depth_it_can_load(capsys, tmp_path):
     for style in ("ascii", "dot"):
         code, out, err = run(capsys, "export-tree", str(model), "--format", style)
         assert (code, err) == (0, "")
-    code, out, _ = run(capsys, "evaluate", str(model), "--in", str(data))
-    assert code == 0
 
 
 def test_export_tree_rejects_ann(capsys, dataset_csv, tmp_path):
