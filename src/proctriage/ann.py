@@ -106,16 +106,15 @@ def bce_loss(probs, labels) -> float:
 
 def _gradients(model: NeuralNetModel, acts: list[np.ndarray], y: np.ndarray):
     """Backprop the mean-BCE loss from one forward pass's activations;
-    returns (grads_w, grads_b)."""
+    returns one gradient per array, in ``model.parameters()`` order."""
     delta = (acts[-1] - y) / len(y)  # d(mean BCE)/d(pre-sigmoid output)
-    grads_w, grads_b = [], []
+    grads = []
     for layer in range(len(model.weights) - 1, -1, -1):
-        grads_w.insert(0, acts[layer].T @ delta)
-        grads_b.insert(0, delta.sum(axis=0))
+        grads[:0] = acts[layer].T @ delta, delta.sum(axis=0)
         if layer > 0:
             a_prev = acts[layer]
             delta = (delta @ model.weights[layer].T) * a_prev * (1.0 - a_prev)
-    return grads_w, grads_b
+    return grads
 
 
 def train_ann(train: LabeledDataset, config: AnnConfig | None = None
@@ -138,11 +137,8 @@ def train_ann(train: LabeledDataset, config: AnnConfig | None = None
     history = LossHistory()
     acts = _forward_batch(model, x)
     for _ in range(config.epochs):
-        grads_w, grads_b = _gradients(model, acts, y)
-        for w, gw in zip(model.weights, grads_w):
-            w -= config.learning_rate * gw
-        for b, gb in zip(model.biases, grads_b):
-            b -= config.learning_rate * gb
+        for theta, grad in zip(model.parameters(), _gradients(model, acts, y)):
+            theta -= config.learning_rate * grad
         acts = _forward_batch(model, x)
         probs = acts[-1]
         history.bce.append(bce_loss(probs.ravel(), y.ravel()))
@@ -174,12 +170,9 @@ def gradient_check(model: NeuralNetModel, sample: LabeledSample, step: float = 1
     x = x.reshape(1, -1)
     y = np.array([[float(sample.label)]])
 
-    grads_w, grads_b = _gradients(model, _forward_batch(model, x), y)
-    analytic = grads_w + grads_b
-    params = list(model.weights) + list(model.biases)
-
+    analytic = _gradients(model, _forward_batch(model, x), y)
     worst = 0.0
-    for theta, grad in zip(params, analytic):
+    for theta, grad in zip(model.parameters(), analytic):
         flat_theta = theta.ravel()
         flat_grad = grad.ravel()
         for i in range(flat_theta.size):

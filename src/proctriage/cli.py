@@ -57,13 +57,12 @@ def _write_json(path: str, doc) -> None:
     _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
-def _emit(args, doc, text: str) -> int:
+def _emit(args, doc, text: str) -> None:
     """Write ``doc`` as JSON to --out if given, else print ``text``."""
     if args.out:
         _write_json(args.out, doc)
     else:
         print(text, end="")
-    return 0
 
 
 def _read_listing(args, fmt: str | None = None) -> ProcessList:
@@ -83,7 +82,7 @@ def _evaluate_on(model: Model, dataset):
 
 # subcommand handlers
 
-def _cmd_parse(args) -> int:
+def _cmd_parse(args) -> None:
     plist = _read_listing(args, args.format)
     doc = {
         "format": plist.format,
@@ -95,31 +94,30 @@ def _cmd_parse(args) -> int:
         sess = "-" if e.session is None else str(e.session)
         lines.append(f"{e.pid:>6} {e.ppid:>6} {e.arch:<7} {sess:>4}  {e.name:<36} {e.owner or '-'}")
     lines += ["", f"{len(plist.entries)} entries, {len(plist.warnings)} skipped rows"]
-    return _emit(args, doc, "\n".join(lines) + "\n")
+    _emit(args, doc, "\n".join(lines) + "\n")
 
 
-def _cmd_featurize(args) -> int:
+def _cmd_featurize(args) -> None:
     v = featurize(_read_listing(args, args.format))
-    return _emit(args, v.to_dict(), _features_line(v) + "\n")
+    _emit(args, v.to_dict(), _features_line(v) + "\n")
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args) -> None:
     stats = compute_stats(load_dataset(args.infile))
-    return _emit(args, stats, format_stats(stats))
+    _emit(args, stats, format_stats(stats))
 
 
-def _cmd_datagen(args) -> int:
+def _cmd_datagen(args) -> None:
     config = GenConfig(n_safe=args.n_safe, n_unsafe=args.n_unsafe, seed=args.seed)
     data = generate_dataset(config)
     if args.out:
         save_dataset(data, args.out)
         print(f"{len(data)} samples -> {args.out}")
-        return 0
-    print(dataset_to_csv(data), end="")
-    return 0
+    else:
+        print(dataset_to_csv(data), end="")
 
 
-def _cmd_split(args) -> int:
+def _cmd_split(args) -> None:
     data = load_dataset(args.infile)
     train, test = split_dataset(data, args.train_fraction, args.seed,
                                 stratified=args.stratified)
@@ -133,10 +131,9 @@ def _cmd_split(args) -> int:
     else:
         print(f"train: {len(train)} samples {train.class_counts()}")
         print(f"test:  {len(test)} samples {test.class_counts()}")
-    return 0
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> None:
     data = load_dataset(args.infile)
     train, test = split_dataset(data, args.train_fraction, args.seed)
     if args.model == "dtree":
@@ -157,7 +154,6 @@ def _cmd_train(args) -> int:
     report = _evaluate_on(load_model(doc), test)
     print()
     print(format_report(report), end="")
-    return 0
 
 
 def _probability(text: str) -> float:
@@ -179,7 +175,7 @@ def _read_values(path: str, parse, complaint: str) -> list:
     return values
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> None:
     if args.pred or args.actual:
         if not (args.pred and args.actual):
             raise MalformedDatasetFile(0, "--pred and --actual go together")
@@ -193,43 +189,41 @@ def _cmd_evaluate(args) -> int:
         if not (args.model_file and args.infile):
             raise MalformedDatasetFile(0, "need MODEL and --in DATASET, or --pred/--actual")
         report = _evaluate_on(read_model_file(args.model_file), load_dataset(args.infile))
-    return _emit(args, report, format_report(report))
+    _emit(args, report, format_report(report))
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> None:
     model = read_model_file(args.model_file)
     v = featurize(_read_listing(args))
     doc = verdict_doc(model.predict(v), features=v.to_dict())
-    return _emit(args, doc, f"{doc['verdict']} p={doc['probability']:.4f} "
-                            f"features={_features_line(v)}\n")
+    _emit(args, doc, f"{doc['verdict']} p={doc['probability']:.4f} "
+                     f"features={_features_line(v)}\n")
 
 
-def _cmd_export_tree(args) -> int:
+def _cmd_export_tree(args) -> None:
     model = read_model_file(args.model_file)
     if model.kind != "dtree":
         raise ModelFormatError("export-tree works on dtree-v1 models only")
     text = export_tree(model.model, style=args.format)
     if args.out:
         _write_text(args.out, text)
-        return 0
-    print(text, end="")
-    return 0
+    else:
+        print(text, end="")
 
 
 def _listen_address(text: str) -> tuple[str, int]:
-    """HOST:PORT as (host, port); a port outside 0-65535 is a usage error."""
+    """HOST:PORT as (host, port); a port not in ASCII digits 0-65535 is a usage error."""
     host, _, port = text.rpartition(":")
-    if not port.isdecimal() or int(port) > 65535:
+    if not (port.isascii() and port.isdecimal()) or int(port) > 65535:
         raise argparse.ArgumentTypeError(f"port must be an integer from 0 to 65535: {text!r}")
     return host or "127.0.0.1", int(port)
 
 
-def _cmd_serve(args) -> int:
+def _cmd_serve(args) -> None:
     host, port = args.listen
     config = ServiceConfig(data_dir=args.data_dir, host=host, port=port, token=args.token,
                            strict=args.strict, model_path=args.model_file)
     run_service(config)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (TriageError, OSError, UnicodeDecodeError) as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 1
@@ -325,6 +319,7 @@ def main(argv=None) -> int:
         # an option the config and split checks refuse, such as --epochs 0
         print(f"proctriage {args.command}: error: {err}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

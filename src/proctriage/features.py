@@ -43,6 +43,8 @@ class FeatureVector:
             raise ValueError("user_count exceeds process_count")
         if self.ratio != self.process_count / self.user_count:
             raise ValueError("ratio is not process_count / user_count")
+        if self.process_count > sys.float_info.max:  # user_count <= process_count: in range too
+            raise ValueError("process_count is beyond float range")
 
     @classmethod
     def from_counts(cls, process_count: int, user_count: int) -> "FeatureVector":
@@ -290,7 +292,10 @@ def load_dataset(path: str | Path) -> LabeledDataset:
 
 def dataset_from_csv(text: str) -> LabeledDataset:
     reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
+    try:
+        rows = list(reader)
+    except csv.Error as e:  # such as a cell longer than csv.field_size_limit()
+        raise MalformedDatasetFile(reader.line_num, str(e)) from None
     if not rows:
         raise MalformedDatasetFile(0, "empty file")
     if [c.strip() for c in rows[0]] != DATASET_HEADER:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from proctriage.cli import main
+from proctriage.cli import build_parser, main
 from proctriage.features import load_dataset
 
 FIX = "tests/fixtures"
@@ -94,6 +94,16 @@ def test_bad_listen_port_is_usage_error(capsys, tmp_path, listen):
     assert "port must be an integer from 0 to 65535" in capsys.readouterr().err
 
 
+def test_listen_port_takes_ascii_digits_only(capsys, tmp_path):
+    # Arabic-Indic "80" is decimal to str.isdecimal, and int() reads it as 80;
+    # parsed here without serving, so a port it would bind is never bound
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["serve", "--data-dir", str(tmp_path),
+                                   "--listen", "127.0.0.1:\u0668\u0660"])
+    assert exc.value.code == 2
+    assert "port must be an integer from 0 to 65535" in capsys.readouterr().err
+
+
 # -- datagen / stats / split ------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -173,13 +183,20 @@ def test_stats_malformed_csv_is_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["stats", "split", "train"])
 def test_a_count_too_big_for_its_ratio_is_a_malformed_line(capsys, tmp_path, command):
-    # process_count / user_count overflows a float: the line is refused, not a traceback
-    bad = tmp_path / "bad.csv"
-    bad.write_text("process_count,user_count,ratio,label,origin\n"
-                   "40,4,10.0,1,\n" + "9" * 401 + ",1,1.0,0,\n")
-    code, out, err = run(capsys, command, "--in", str(bad), "--out", str(tmp_path / "out"))
-    assert (code, out) == (1, "")
-    assert err == "MalformedDatasetFile: line 3: integer division result too large for a float\n"
+    # process_count / user_count overflows a float, or the counts themselves do although
+    # their ratio is 10.0: the line is refused, not a traceback
+    head = "process_count,user_count,ratio,label,origin\n"
+    for rows, message in [
+        ("40,4,10.0,1,\n" + "9" * 401 + ",1,1.0,0,\n",
+         "line 3: integer division result too large for a float"),
+        ("9" * 401 + "," + "9" * 400 + ",10.0,0,\n40,4,10.0,1,\n",
+         "line 2: process_count is beyond float range"),
+    ]:
+        bad = tmp_path / "bad.csv"
+        bad.write_text(head + rows)
+        code, out, err = run(capsys, command, "--in", str(bad), "--out", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err == f"MalformedDatasetFile: {message}\n"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,5 +1,6 @@
 """Feature extraction, scaling, splitting, CSV round-trip, and stats."""
 
+import csv
 import math
 
 import numpy as np
@@ -98,6 +99,8 @@ def test_feature_vector_invariants():
         FeatureVector(3, 10, 0.3)  # users exceed processes
     with pytest.raises(ValueError):
         FeatureVector(0, 1, 0.0)
+    with pytest.raises(ValueError, match="process_count is beyond float range"):
+        FeatureVector(10**401, 10**400, 10.0)  # a consistent ratio, but counts no float holds
     v = FeatureVector.from_counts(10, 3)
     assert v.ratio == 10 / 3
 
@@ -261,6 +264,14 @@ def test_csv_cells_are_checked_in_order_with_their_own_messages():
         with pytest.raises(MalformedDatasetFile) as err:
             dataset_from_csv(head + "40,4,10.0,1,\n" + row + "\n")
         assert str(err.value) == f"line 3: {message}", row
+
+
+def test_a_cell_longer_than_the_csv_field_limit_is_a_malformed_line():
+    head = ",".join(DATASET_HEADER) + "\n"
+    long_row = "40,4,10.0,1," + "x" * (csv.field_size_limit() + 1)
+    with pytest.raises(MalformedDatasetFile) as err:
+        dataset_from_csv(head + "40,4,10.0,1,\n" + long_row + "\n40,4,10.0,1,\n")
+    assert str(err.value) == f"line 3: field larger than field limit ({csv.field_size_limit()})"
 
 
 # -- stats -------------------------------------------------------------------

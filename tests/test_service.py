@@ -1112,6 +1112,8 @@ _STORED = SampleRecord(id="a1", received_at=1_700_000_000.0, raw_text="PID\tNAME
     lambda d: d.update(predicted=[0, 0.2]),
     # a whole count too big for the float its ratio needs
     lambda d: d["features"].update(process_count=10**400),
+    # whole counts beyond float range, consistent with their ratio of 10.0
+    lambda d: d["features"].update(process_count=10**401, user_count=10**400),
 ], ids=["parse_warnings", "human_label", "predicted.label", "features.process_count",
         "received_at-inf", "received_at-nan", "received_at-1e300", "received_at-1e17",
         "received_at-minus-1e17", "probability-nan", "probability-minus-inf", "probability-7",
@@ -1120,7 +1122,7 @@ _STORED = SampleRecord(id="a1", received_at=1_700_000_000.0, raw_text="PID\tNAME
         "predicted.label-true", "raw_text-null", "raw_text-5", "raw_text-list",
         "raw_text-object", "received_at-true", "received_at-string", "probability-true",
         "features.ratio-string", "features-string", "predicted-list",
-        "features.process_count-10^400"])
+        "features.process_count-10^400", "features.counts-10^401-over-10^400"])
 def test_store_lines_with_numbers_too_big_for_int_are_skipped(tmp_path, caplog, edit):
     store = SampleStore(tmp_path)
     store.append(SampleRecord(id="900d", received_at=1_700_000_000.0, raw_text="x"))
