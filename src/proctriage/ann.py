@@ -146,15 +146,18 @@ def train_ann(train: LabeledDataset, config: AnnConfig | None = None
     return model, history
 
 
+def _scaled(model: NeuralNetModel, v: FeatureVector) -> np.ndarray:
+    """``v`` as the network's input: min-max scaled (with clamping) if the model has a scaler."""
+    x = v.as_array()
+    return x if model.scaler is None else model.scaler.transform(x)
+
+
 def predict_ann(model: NeuralNetModel, v: FeatureVector) -> tuple[Label, float]:
     """Scale (with clamping), run forward, threshold at model.threshold.
 
     A probability exactly at the threshold resolves to sandbox.
     """
-    x = v.as_array()
-    if model.scaler is not None:
-        x = model.scaler.transform(x)
-    p = forward(model, x)
+    p = forward(model, _scaled(model, v))
     return (Label.SANDBOX if p >= model.threshold else Label.TARGET), p
 
 
@@ -164,10 +167,7 @@ def gradient_check(model: NeuralNetModel, sample: LabeledSample, step: float = 1
     Every weight and bias is perturbed individually; parameters whose
     analytic and numeric gradients are both ~0 contribute no error.
     """
-    x = sample.features.as_array()
-    if model.scaler is not None:
-        x = model.scaler.transform(x)
-    x = x.reshape(1, -1)
+    x = _scaled(model, sample.features).reshape(1, -1)
     y = np.array([[float(sample.label)]])
 
     analytic = _gradients(model, _forward_batch(model, x), y)

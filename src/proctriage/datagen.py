@@ -144,6 +144,8 @@ _NAME_POOL = (
     "powershell.exe", "cmd.exe", "notepad.exe",
 )
 
+_PID_POOL = np.arange(4, 32768, 4)  # Windows pids are multiples of 4
+
 
 def generate_process_list(label: Label, seed: int = 0,
                           profile: ClassProfile | None = None) -> str:
@@ -152,7 +154,9 @@ def generate_process_list(label: Label, seed: int = 0,
     The listing parses cleanly and its features land inside the class
     profile: process count and distinct-owner count are drawn exactly the
     way `generate_dataset` draws them, then enough named entries are laid
-    down to realize those counts.
+    down to realize those counts.  A profile whose ``user_count.max`` is
+    over the 17 owners a listing can show, or whose ``process_count.max``
+    is over the 8,191 pids it can draw, raises ``ValueError``.
     """
     if profile is None:
         profile = SAFE_PROFILE if label == Label.TARGET else UNSAFE_PROFILE
@@ -160,6 +164,9 @@ def generate_process_list(label: Label, seed: int = 0,
     if profile.user_count.max > owners_known:
         raise ValueError(f"user_count.max {profile.user_count.max} exceeds the "
                          f"{owners_known} distinct owners a generated listing can show")
+    if profile.process_count.max > len(_PID_POOL):
+        raise ValueError(f"process_count.max {profile.process_count.max} exceeds the "
+                         f"{len(_PID_POOL)} distinct pids a generated listing can draw")
     rng = np.random.default_rng(seed)
     pc, uc = _draw_pair(rng, profile)
 
@@ -181,7 +188,7 @@ def generate_process_list(label: Label, seed: int = 0,
         blank_share = 0.6
 
     entries = [ProcessEntry(pid=0, ppid=0, name="[System Process]")]
-    pids = rng.choice(np.arange(4, 32768, 4), size=pc, replace=False)
+    pids = rng.choice(_PID_POOL, size=pc, replace=False)
     for i in range(pc):
         # every distinct owner appears at least once, the rest mix
         # random owners with blank rows per the class template

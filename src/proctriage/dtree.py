@@ -89,7 +89,7 @@ def _best_split_arrays(x: np.ndarray, y: np.ndarray):
         decrease = np.where(sv[:-1] != sv[1:], parent - weighted, -np.inf)
         i = int(np.argmax(decrease))  # the first of equal decreases
         if decrease[i] > 0.0 and (best is None or decrease[i] > best[2]):
-            best = (f, (sv[i] + sv[i + 1]) / 2.0, float(decrease[i]))
+            best = (f, float((sv[i] + sv[i + 1]) / 2.0), float(decrease[i]))
     return best
 
 
@@ -98,11 +98,7 @@ def best_split(samples: list[LabeledSample]):
     if len(samples) < 2:
         raise ValueError("need at least two samples")
     data = LabeledDataset(tuple(samples))
-    found = _best_split_arrays(data.feature_matrix(), data.label_array())
-    if found is None:
-        return None
-    f, t, d = found
-    return int(f), float(t), float(d)
+    return _best_split_arrays(data.feature_matrix(), data.label_array())
 
 
 def _grow(x: np.ndarray, y: np.ndarray, depth: int, config: TreeConfig) -> dict:
@@ -121,7 +117,7 @@ def _grow(x: np.ndarray, y: np.ndarray, depth: int, config: TreeConfig) -> dict:
 
     f, t, _ = found
     mask = x[:, f] <= t
-    node.update(feature_index=int(f), threshold=float(t),
+    node.update(feature_index=f, threshold=t,
                 left=_grow(x[mask], y[mask], depth + 1, config),
                 right=_grow(x[~mask], y[~mask], depth + 1, config))
     return node

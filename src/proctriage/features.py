@@ -292,28 +292,27 @@ def load_dataset(path: str | Path) -> LabeledDataset:
 
 def dataset_from_csv(text: str) -> LabeledDataset:
     reader = csv.reader(io.StringIO(text))
-    try:
-        rows = list(reader)
-    except csv.Error as e:  # such as a cell longer than csv.field_size_limit()
-        raise MalformedDatasetFile(reader.line_num, str(e)) from None
-    if not rows:
-        raise MalformedDatasetFile(0, "empty file")
-    if [c.strip() for c in rows[0]] != DATASET_HEADER:
-        raise MalformedDatasetFile(1, f"bad header {rows[0]!r}")
     samples = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(DATASET_HEADER):
-            raise MalformedDatasetFile(line_no, f"expected {len(DATASET_HEADER)} cells")
-        try:
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise MalformedDatasetFile(0, "empty file")
+        if [c.strip() for c in header] != DATASET_HEADER:
+            raise MalformedDatasetFile(1, f"bad header {header!r}")
+        for row in reader:  # read lazily: reader.line_num is this row's physical line
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(DATASET_HEADER):
+                raise ValueError(f"expected {len(DATASET_HEADER)} cells")
             pc, uc, ratio, label = int(row[0]), int(row[1]), float(row[2]), int(row[3])
             if label not in (0, 1):
                 raise ValueError(f"label must be 0 or 1, got {label}")
             fv = FeatureVector(pc, uc, ratio)
-        except (ValueError, OverflowError) as e:  # OverflowError: a count too big for its ratio
-            raise MalformedDatasetFile(line_no, str(e)) from None
-        samples.append(LabeledSample(fv, Label(label), row[4].strip() or None))
+            samples.append(LabeledSample(fv, Label(label), row[4].strip() or None))
+    # csv.Error: such as a cell longer than csv.field_size_limit();
+    # OverflowError: a count too big for its ratio
+    except (csv.Error, ValueError, OverflowError) as e:
+        raise MalformedDatasetFile(reader.line_num, str(e)) from None
     if not samples:
-        raise MalformedDatasetFile(len(rows), "no data rows")
+        raise MalformedDatasetFile(reader.line_num, "no data rows")
     return LabeledDataset(tuple(samples))

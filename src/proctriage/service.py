@@ -587,13 +587,14 @@ class _Handler(BaseHTTPRequestHandler):
         # method, oversized headers) are JSON too, and close as the stdlib's do
         self.log_error("code %d, message %s", code, message)
         self.close_connection = True
-        self._send_json(code, {"error": message or self.responses[code][0]})
+        self._reply(code, {"error": message or self.responses[code][0]})
 
-    def _send_json(self, status: int, doc, **headers: str) -> None:
-        self._send_text(status, json.dumps(doc), "application/json; charset=utf-8", **headers)
-
-    def _send_text(self, status: int, text: str, content_type: str, **headers: str) -> None:
-        body = text.encode("utf-8")
+    def _reply(self, status: int, doc, **headers: str) -> None:
+        """Send ``doc``: a ``str`` is the CSV route's text, anything else is JSON."""
+        if isinstance(doc, str):
+            body, content_type = doc.encode("utf-8"), "text/csv; charset=utf-8"
+        else:
+            body, content_type = json.dumps(doc).encode("utf-8"), "application/json; charset=utf-8"
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
@@ -648,22 +649,18 @@ class _Handler(BaseHTTPRequestHandler):
             methods, groups = route
             if method not in methods:
                 raise _HttpError(405, f"{method} not supported here", Allow=", ".join(methods))
-            reply = methods[method](self.service, body, url.query, *groups)
-            if isinstance(reply, str):
-                self._send_text(200, reply, "text/csv; charset=utf-8")
-            else:
-                self._send_json(200, reply)
+            self._reply(200, methods[method](self.service, body, url.query, *groups))
         except _HttpError as err:
-            self._send_json(err.status, {"error": err.message}, **err.headers)
+            self._reply(err.status, {"error": err.message}, **err.headers)
         except TimeoutError:
             raise  # handle_one_request drops the connection without a reply
         except TriageError as err:
             # strict-mode parse or model validation failures surface here
             status = 400 if isinstance(err, ModelFormatError) else 422
-            self._send_json(status, {"error": f"{type(err).__name__}: {err}"})
+            self._reply(status, {"error": f"{type(err).__name__}: {err}"})
         except Exception:
             logger.exception("unhandled error serving %s %s", method, self.path)
-            self._send_json(500, {"error": "internal error"})
+            self._reply(500, {"error": "internal error"})
 
     do_GET = do_POST = _dispatch  # noqa: N815 (http.server API)
 

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, outputs, file artifacts."""
 
+import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,13 @@ def test_featurize_sandbox(capsys):
     assert code == 0
     assert out.strip() == "40,4,10.0"
     assert err == ""
+
+
+def test_featurize_reads_stdin_without_in(capsys, monkeypatch):
+    listing = Path(f"{FIX}/sandbox_host.txt").read_text(encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO(listing))
+    code, out, err = run(capsys, "featurize")
+    assert (code, out.strip(), err) == (0, "40,4,10.0", "")
 
 
 def test_featurize_safe(capsys):

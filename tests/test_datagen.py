@@ -153,3 +153,19 @@ def test_listing_profile_at_the_owner_limit_is_realized(label):
                         user_count=FeatureProfile(min=17, max=17, mean=17.0, std=0.0))
     text = generate_process_list(label, seed=0, profile=full)
     assert featurize(parse_process_list(text)).user_count == 17
+
+
+@pytest.mark.parametrize("label", list(Label))
+def test_listing_profile_with_more_processes_than_pids_is_refused(label):
+    crowded = ClassProfile(process_count=FeatureProfile(min=8000, max=9000, mean=8500.0, std=5.0),
+                           user_count=FeatureProfile(min=1, max=4, mean=2.0, std=1.0))
+    with pytest.raises(ValueError, match="exceeds the 8191 distinct pids"):
+        generate_process_list(label, seed=0, profile=crowded)
+
+
+@pytest.mark.parametrize("label", list(Label))
+def test_listing_profile_at_the_pid_limit_is_realized(label):
+    full = ClassProfile(process_count=FeatureProfile(min=8191, max=8191, mean=8191.0, std=0.0),
+                        user_count=FeatureProfile(min=1, max=4, mean=2.0, std=1.0))
+    text = generate_process_list(label, seed=0, profile=full)
+    assert featurize(parse_process_list(text)).process_count == 8191

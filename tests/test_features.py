@@ -249,6 +249,9 @@ def test_csv_refuses_a_row_of_the_wrong_width_and_skips_blank_rows():
     with pytest.raises(MalformedDatasetFile) as err:
         dataset_from_csv(head + "40,4,10.0,1,h\n\n40,4,10.0,1\n")
     assert str(err.value) == "line 4: expected 5 cells"
+    with pytest.raises(MalformedDatasetFile) as err:  # a quoted cell spans lines 2 and 3
+        dataset_from_csv(head + '40,4,10.0,1,"a\nb"\n40,4,10.0,1\n')
+    assert str(err.value) == "line 4: expected 5 cells"
 
 
 def test_csv_cells_are_checked_in_order_with_their_own_messages():
@@ -272,6 +275,9 @@ def test_a_cell_longer_than_the_csv_field_limit_is_a_malformed_line():
     with pytest.raises(MalformedDatasetFile) as err:
         dataset_from_csv(head + "40,4,10.0,1,\n" + long_row + "\n40,4,10.0,1,\n")
     assert str(err.value) == f"line 3: field larger than field limit ({csv.field_size_limit()})"
+    with pytest.raises(MalformedDatasetFile) as err:  # the first bad line is the one reported
+        dataset_from_csv(head + "4,1,9.0,0,\n" + long_row + "\n")
+    assert str(err.value) == "line 2: ratio is not process_count / user_count"
 
 
 # -- stats -------------------------------------------------------------------

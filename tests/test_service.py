@@ -1453,21 +1453,26 @@ def test_response_heads_and_stored_line_are_pinned(live, monkeypatch):
     reply = _exchange(base, (  # one keep-alive connection, closed by the 413
         f"POST /v1/classify {posted}POST /v1/submit {posted}GET /v1/model HTTP/1.1\r\n\r\n"
         "GET /v1/nonsense HTTP/1.1\r\n\r\nGET /v1/classify HTTP/1.1\r\n\r\n"
+        "GET /v1/export.csv HTTP/1.1\r\n\r\n"
         "POST /v1/classify HTTP/1.1\r\nContent-Length: 1000000000000\r\n\r\n").encode())
     record_id = uuid.UUID(int=7).hex
     submitted = GOLDEN[False][1].replace('"r1"', f'"{record_id}"')
+    json_type, csv_type = "application/json; charset=utf-8", "text/csv; charset=utf-8"
     expected = b""
-    for status, body, extra in [
-        (200, GOLDEN[False][0], ""), (200, submitted, ""), (200, '{"active": false}', ""),
-        (404, '{"error": "no such resource"}', ""),
-        (405, '{"error": "GET not supported here"}', "Allow: POST\r\n"),
-        (413, '{"error": "body over 16777216 bytes"}', "Connection: close\r\n"),
+    for status, content_type, body, extra in [
+        (200, json_type, GOLDEN[False][0], ""), (200, json_type, submitted, ""),
+        (200, json_type, '{"active": false}', ""),
+        (404, json_type, '{"error": "no such resource"}', ""),
+        (405, json_type, '{"error": "GET not supported here"}', "Allow: POST\r\n"),
+        # the one stored record is unlabeled, so the export is the header row alone
+        (200, csv_type, "process_count,user_count,ratio,label,origin\n", ""),
+        (413, json_type, '{"error": "body over 16777216 bytes"}', "Connection: close\r\n"),
     ]:
         reason = _Handler.responses[status][0]
         expected += (f"HTTP/1.1 {status} {reason}\r\n"
                      f"Server: {_Handler.server_version} {_Handler.sys_version}"
                      f"\r\nDate: Tue, 14 Nov 2023 22:13:20 GMT\r\n"
-                     f"Content-Type: application/json; charset=utf-8\r\n"
+                     f"Content-Type: {content_type}\r\n"
                      f"Content-Length: {len(body)}\r\n{extra}\r\n{body}").encode()
     assert reply == expected
     stored = (service.data_dir / "samples" / "samples-20231114.jsonl").read_text()
