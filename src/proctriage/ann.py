@@ -188,7 +188,7 @@ def gradient_check(model: NeuralNetModel, sample: LabeledSample, step: float = 1
             if a < 1e-12 and b < 1e-12:
                 continue
             worst = max(worst, abs(flat_grad[i] - numeric) / max(a, b))
-    return worst
+    return float(worst)
 
 
 def ann_to_dict(model: NeuralNetModel) -> dict:

@@ -7,7 +7,6 @@ training is fully deterministic.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +16,9 @@ from .features import (FEATURE_NAMES, FeatureVector, Label, LabeledDataset, Labe
                        _number, _typed, _whole)
 
 TREE_SCHEMA_VERSION = "dtree-v1"
-# Deeper documents are refused, and training stops there: growing, loading,
-# both exports, the copy that tree_to_dict makes and json's encoder recurse
-# once per level, and must stay well inside the interpreter's recursion limit.
+# Deeper documents are refused, and training stops there: growing, loading
+# and saving (one checked copy), both exports and json's encoder recurse once
+# per level, and must stay well inside the interpreter's recursion limit.
 MAX_TREE_DEPTH = 200
 
 
@@ -238,6 +237,8 @@ def _node_from_dict(rec: dict, depth: int = 0) -> dict:
 
 
 def tree_to_dict(model: DecisionTreeModel) -> dict:
+    """The dtree-v1 document; its root is the loader's checked copy, so a
+    tree that ``tree_from_dict`` would refuse raises ModelFormatError."""
     return {
         "version": TREE_SCHEMA_VERSION,
         "criterion": "gini",
@@ -246,7 +247,7 @@ def tree_to_dict(model: DecisionTreeModel) -> dict:
         "feature_names": list(FEATURE_NAMES),
         "n_samples": model.n_samples,
         "class_counts": list(model.class_counts),
-        "root": copy.deepcopy(model.root),
+        "root": _node_from_dict(model.root),
     }
 
 

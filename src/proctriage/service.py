@@ -216,7 +216,7 @@ class SampleStore:
 
     The index holds each record's newest snapshot without its listing,
     and where that snapshot's line sits in its day file; ``get`` and
-    ``records`` read the listing back from the line.
+    ``records`` read the whole snapshot back from the line.
     """
 
     def __init__(self, root: str | Path):
@@ -263,15 +263,15 @@ class SampleStore:
             self._records[record.id] = replace(record, raw_text=""), name, size + torn, len(line)
 
     def _with_text(self, entries: list[tuple[SampleRecord, str, int, int]]) -> list[SampleRecord]:
-        """The snapshots of index ``entries``, each listing read back from its line."""
+        """The snapshots of index ``entries``, each read back whole from its line
+        and checked as reload checked it."""
         fds: dict[str, int] = {}
         with ExitStack() as files:
             out = []
-            for record, name, offset, length in entries:
+            for _, name, offset, length in entries:
                 if name not in fds:
                     fds[name] = files.enter_context(open(self.root / name, "rb")).fileno()
-                raw_text = json.loads(os.pread(fds[name], length, offset))["raw_text"]
-                out.append(replace(record, raw_text=raw_text))
+                out.append(record_from_dict(json.loads(os.pread(fds[name], length, offset))))
             return out
 
     def get(self, record_id: str) -> SampleRecord | None:
@@ -350,31 +350,29 @@ class Service:
         return {"active": True, "kind": model.kind, "model_id": model.model_id,
                 "activated_at": activated_at, **model.details}
 
-    def _predict(self, features: FeatureVector | None) -> tuple[Label, float] | None:
-        """The active model's verdict; None without a model or without features."""
-        with self._model_lock:
-            active = self._active
-        return None if active is None or features is None else active[0].predict(features)
-
     # ingestion and labeling
 
-    def _extract(self, raw_text: str) -> tuple[FeatureVector | None, int]:
-        """Features and warning count; under the strict flag failures propagate."""
+    def _score(self, raw_text: str) -> tuple[FeatureVector | None, int, tuple[Label, float] | None]:
+        """Features, warning count and the active model's verdict; a listing that
+        does not parse gives (None, 0, None), or under the strict flag raises."""
         try:
-            return featurize_text(raw_text, strict=self.config.strict)
+            features, warnings = featurize_text(raw_text, strict=self.config.strict)
         except TriageError:
             if self.config.strict:
                 raise
-            return None, 0
+            return None, 0, None
+        with self._model_lock:
+            active = self._active
+        return features, warnings, None if active is None else active[0].predict(features)
 
     def submit(self, raw_text: str) -> SampleRecord:
-        features, warnings = self._extract(raw_text)
+        features, warnings, predicted = self._score(raw_text)
         record = SampleRecord(
             id=uuid.uuid4().hex,
             received_at=time.time(),
             raw_text=raw_text,
             features=features,
-            predicted=self._predict(features),
+            predicted=predicted,
             parse_warnings=warnings,
         )
         self.store.append(record)
@@ -382,9 +380,8 @@ class Service:
 
     def classify(self, raw_text: str) -> dict:
         """Stateless verdict for a raw listing; nothing is persisted."""
-        features, _ = self._extract(raw_text)
-        return verdict_doc(self._predict(features),
-                           features=None if features is None else features.to_dict())
+        features, _, predicted = self._score(raw_text)
+        return verdict_doc(predicted, features=None if features is None else features.to_dict())
 
     def label(self, record_id: str, label: Label) -> SampleRecord:
         record = self.store.get(record_id)

@@ -241,6 +241,12 @@ def test_gradient_check_close_to_numeric():
     model = init_network(AnnConfig(seed=0))
     model.scaler = ScalerParams(mins=(9.0, 1.0, 2.1), maxs=(305.0, 17.0, 305.0))
     sample = _mk(40, 4, Label.SANDBOX)
+    worst = gradient_check(model, sample)
+    assert type(worst) is float
+    assert worst < 1e-4
+    # a zero output weight leaves its hidden unit's incoming weights and bias
+    # with exactly zero gradient, analytic and numeric: those are skipped
+    model.weights[2][0, 0] = 0.0
     assert gradient_check(model, sample) < 1e-4
 
 

@@ -363,10 +363,14 @@ def test_from_dict_rejects_garbage():
     with pytest.raises(ModelFormatError):
         tree_from_dict({})
     data = _dataset([(10, 1, Label.TARGET), (40, 2, Label.SANDBOX)])
-    doc = tree_to_dict(train_tree(data))
+    model = train_tree(data)
+    doc = tree_to_dict(model)
     del doc["root"]["left"]
     with pytest.raises(ModelFormatError):
         tree_from_dict(doc)
+    del model.root["left"]  # nor is such a root saved
+    with pytest.raises(ModelFormatError):
+        tree_to_dict(model)
 
 
 def test_load_rejects_non_json(tmp_path):

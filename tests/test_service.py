@@ -1302,6 +1302,11 @@ def test_record_dict_roundtrip():
     assert record_from_dict(record_to_dict(bare)) == bare
 
 
+def test_a_record_needs_an_id():
+    with pytest.raises(ValueError, match="empty record id"):
+        SampleRecord(id="", received_at=1.0, raw_text="x")
+
+
 def test_submit_response_shape():
     rec = SampleRecord(id="r1", received_at=1.0, raw_text="x",
                        predicted=(Label.TARGET, 0.12))
