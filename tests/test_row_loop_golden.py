@@ -4,7 +4,9 @@
 text and, for lenient and strict mode, what ``parse_process_list``
 returns or raises, what ``featurize_text`` returns or raises, and the
 log lines each leaves.  The cases are about 500 seeded mutations of a
-few base listings plus hand-written edge cases.  The test replays every
+few base listings, hand-written edge cases, then about 200 seeded
+listings under a tab header whose rows mostly have the header's tab
+count, and hand-written cases of that shape.  The test replays every
 case against the current code, so any change in what the loop accepts,
 rejects, reports or logs shows up here, not only a disagreement between
 its two callers.
@@ -26,6 +28,7 @@ from proctriage.proclist import parse_process_list
 CORPUS = Path(__file__).parent / "fixtures" / "row_loop_golden.jsonl"
 SEED = 20201
 MUTATED = 500
+TAB_WIDTH = 200
 
 TASKLIST_TAB = (
     "PID\tPPID\tARCH\tSESS\tNAME\tOWNER\n"
@@ -158,9 +161,85 @@ EDGE_CASES = [
 ]
 
 
+_TAB_HEADERS = ["PID\tPPID\tARCH\tSESS\tNAME\tOWNER", "NAME\tOWNER\tPID\tSESS",
+                "PID\tPPID\tUSER\tCMD", "PID\tCMD", "PID\tCMD\tUSER", " PID \t NAME ",
+                "PID\tPPID USER\tCMD"]
+_TAB_CELLS = {
+    "PPID": ["0", "4", "612", "", "-1", "x"],
+    "ARCH": ["x64", "x86", "X64", "", "arm"],
+    "SESS": ["0", "1", "", "x"],
+    "NAME": ["System", "svchost.exe", "cmd.exe", " explorer.exe ", "System Process"],
+    "CMD": ["/sbin/init", "sshd: alice [priv]", "-bash", " vim notes "],
+    "OWNER": ["", "NT AUTHORITY\\SYSTEM", "CORP\\alice", "corp\\ALICE ", " "],
+    "USER": ["root", "alice", "ALICE", "", "\u3000"],
+}
+
+
+def tab_width_listing(rng: random.Random) -> str:
+    """A listing under a tab header: a block of rows with the header's tab count, one
+    cell perhaps mutated, with space-aligned, pid-0, short, long, blank and rule lines
+    placed before, inside or after it, and \\n or \\r\\n line ends."""
+    header = rng.choice(_TAB_HEADERS)
+    names = [cell.strip().upper() for cell in header.split("\t")]
+
+    def row(pid: str) -> list[str]:
+        return [pid if name == "PID" else rng.choice(_TAB_CELLS.get(name, _CELLS))
+                for name in names]
+
+    block = [row(str(rng.randint(1, 9999))) for _ in range(rng.randint(1, 8))]
+    if rng.random() < 0.4:
+        block.insert(rng.randint(0, len(block)), row("0"))
+    if rng.random() < 0.6:
+        cells = rng.choice(block)
+        cells[rng.randrange(len(cells))] = _random_cell(rng)
+    lines = ["\t".join(cells) for cells in block]
+    for _ in range(rng.randint(0, 3)):
+        cells = row("0" if rng.random() < 0.3 else str(rng.randint(1, 9999)))
+        roll = rng.random()
+        if roll < 0.3:
+            extra = "  ".join(cells)  # space-aligned
+        elif roll < 0.45:
+            extra = "\t".join(cells[:-1])  # one cell short
+        elif roll < 0.6:
+            extra = "\t".join(cells + ["extra"])  # one cell long
+        elif roll < 0.8:
+            extra = rng.choice(_RULES)
+        else:
+            extra = rng.choice(["", "   ", "\t" * (len(names) - 1)])
+        lines.insert(rng.choice([0, len(lines), rng.randint(0, len(lines))]), extra)
+    if rng.random() < 0.15:
+        lines.insert(0, header.replace("\t", "  "))  # a second, space-aligned header line
+    eol = rng.choice(["\n", "\n", "\r\n"])
+    return eol.join([header] + lines) + rng.choice(["", eol])
+
+
+TAB_EDGE_CASES = [
+    # a kept space-aligned pid-0 row before a tab block that holds the second pid 0
+    "PID\tCMD\n0 0 System\n0\tsvc.exe\n4\t612\n\tx64\tx64\n",
+    "PID\tPPID\tUSER\tCMD\n0\t0\troot\tidle\n1\t0\troot\tinit\n0 0 root idle\n",
+    "PID\tCMD\n7 sh\n1\tinit\n?\tbad\n8\tvi\n",
+    # pid cells that int() reads, and ones it refuses, inside a block
+    "PID\tCMD\n 12 \tinit\n1_0\tsh\n+8\tvi\n\u0663\tx\n\uff17\ty\n",
+    "PID\tCMD\n1\tinit\n" + "9" * 5000 + "\tbig\n2\tsh\n",
+    "PID\tCMD\n1\tinit\n-4\tneg\n2\tsh\n",
+    "PID\tCMD\n1\tinit\n2\t\u3000\n3\tsh\n",
+    "PID\tCMD\n0\tidle\n0\tidle\n1\tinit\n",
+    "PID\tCMD\n0\tidle\n",
+    # line ends that splitlines knows, and cells padded with whitespace
+    "PID\tCMD\r1\tinit\r2\tsh\r",
+    "PID\tCMD\tUSER\n1\tinit\troot\x1c2\tsh\tALICE\u20283\tvi\t alice\x85",
+    "PID\tPPID\tARCH\tSESS\tNAME\tOWNER\r\n0\t0\t\t\tSystem Process\t\r\n"
+    "4\t0\tx64\t0\tSystem\tNT AUTHORITY\\SYSTEM\r\n\r\n---\t---\r\n"
+    "612\t4\tx64\t1\t explorer.exe \tCORP\\alice\r\n",
+    # a name column past the width of every tab row
+    "PID\tPPID USER\tCMD\n1\t0 root\tinit\n",
+]
+
+
 def build_cases() -> list[str]:
     rng = random.Random(SEED)
-    return [mutated_listing(rng) for _ in range(MUTATED)] + EDGE_CASES
+    cases = [mutated_listing(rng) for _ in range(MUTATED)] + EDGE_CASES
+    return cases + [tab_width_listing(rng) for _ in range(TAB_WIDTH)] + TAB_EDGE_CASES
 
 
 class _Lines(logging.Handler):
