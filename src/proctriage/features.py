@@ -13,13 +13,12 @@ import sys
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import compress
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DatasetTooSmall, EmptyListing, MalformedDatasetFile
-# _checked_rows is private to the package: the one row loop, shared with featurize_text
+# _checked_rows is private to the package: the one row reader, shared with parse_process_list
 from .proclist import ProcessList, _checked_rows
 
 FEATURE_NAMES = ("process_count", "user_count", "ratio")
@@ -147,10 +146,12 @@ def featurize_text(text: str, *, strict: bool = False) -> tuple[FeatureVector, i
     The same result, exceptions and log line as
     ``featurize(parse_process_list(text, strict=strict))`` with the length
     of that list's warnings, from the same checked rows, but with no
-    :class:`~proctriage.proclist.ProcessEntry` built per row.
+    :class:`~proctriage.proclist.ProcessEntry` built per row: it reads the
+    pid and owner columns alone, and for the rows read by column (a tab
+    listing's full-width rows) builds no tuple per row either.
     """
-    _, rows, warnings = _checked_rows(text, None, strict, "")
-    return _vector(map(itemgetter(0), rows), map(itemgetter(5), rows)), len(warnings)
+    _, _, columns, warnings = _checked_rows(text, None, strict, "")
+    return _vector(columns[0], columns[5]), len(warnings)
 
 
 def _vector(pids, owners) -> FeatureVector:
@@ -158,7 +159,7 @@ def _vector(pids, owners) -> FeatureVector:
     countable = list(compress(owners, pids))  # owners of pid != 0 rows; C-level, no Python loop
     if not countable:
         raise EmptyListing("no countable entries after excluding pid 0")
-    users = set(map(str.casefold, map(str.strip, countable)))
+    users = set(map(str.casefold, map(str.strip, set(countable))))  # each distinct cell once
     users.discard("")
     return FeatureVector.from_counts(len(countable), max(1, len(users)))
 

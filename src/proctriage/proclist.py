@@ -21,10 +21,10 @@ from __future__ import annotations
 import logging
 import re
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import starmap
-from operator import itemgetter
+from itertools import compress, repeat, starmap
+from operator import eq, itemgetter, not_
 
 from .errors import EmptyListing, MalformedRow, UnrecognizedFormat
 
@@ -158,16 +158,39 @@ def _ps_reader(header: str):
     return columns, lambda line: pick(line.split(None, len(upper) - 1) + pad)
 
 
-def _checked_rows(text: str, fmt: str | None, strict: bool,
-                  source_id: str) -> tuple[str, list[tuple], list[str]]:
-    """The listing's format, its checked rows and the warnings of its skipped rows.
+def _columns(cells: list[str], columns: list[int | None], width: int) -> list[list] | None:
+    """The six columns of the rows laid end to end in ``cells``, ``width`` cells each, as
+    ``pick`` reads them: a None column, or one at or past ``width``, reads ''.  The pids are
+    read by ``int()`` and the names trimmed.  None when some row is not a good one: a pid
+    cell that ``int()`` refuses or reads negative, a blank name, or a second pid 0."""
+    rows = len(cells) // width
+    cols = [cells[i::width] if i is not None and i < width else [""] * rows for i in columns]
+    try:
+        cols[0] = list(map(int, cols[0]))
+    except ValueError:
+        return None
+    cols[4] = list(map(str.strip, cols[4]))
+    return cols if min(cols[0]) >= 0 and all(cols[4]) and cols[0].count(0) < 2 else None
 
-    The one row loop of :func:`parse_process_list` and ``features.featurize_text``; it
+
+def _checked_rows(text: str, fmt: str | None, strict: bool,
+                  source_id: str) -> tuple[str, Iterable[tuple], list[Iterable], list[str]]:
+    """The listing's format, its checked rows, the same rows' six columns, and the warnings
+    of its skipped rows.
+
+    The one row reader of :func:`parse_process_list` and ``features.featurize_text``; it
     makes every check, logs and raises as that docstring says.  A checked row is ``(pid,
     ppid, arch, sess, name, owner)``: the pid an int >= 0 (at most one is 0), the name
-    trimmed and not blank, the other cells as read.  A good row pays only for its split,
-    one ``int()`` of the pid cell (which ignores the whitespace ``strip`` removes) and
-    one ``strip()`` of the name.
+    trimmed and not blank, the other cells as read.  The rows and the columns are two views
+    of one read, each lazy over the other's data, so a caller pays only for the one it uses.
+
+    Under a header with tabs, the body lines with the header's tab count are read by column:
+    joined with tabs, split once, each column sliced out with a stride, the pids read by one
+    ``map(int, ...)`` and the names trimmed by one ``map(str.strip, ...)``.  Every other
+    line goes through the per-line loop, where a good row pays for its split, one ``int()``
+    of the pid cell (which ignores the whitespace ``strip`` removes) and one ``strip()`` of
+    the name.  If a block row is not a good one, or the loop would keep another line as a
+    row, the whole listing is read line by line, so the outcome is always the loop's.
     """
     if fmt not in (None, TASKLIST_TABULAR, PS_UNIX):
         raise UnrecognizedFormat(f"unknown format hint {fmt!r}")
@@ -175,8 +198,9 @@ def _checked_rows(text: str, fmt: str | None, strict: bool,
     fmt, header = _find_header(lines, fmt)
     columns, read = (_tasklist_reader if fmt == TASKLIST_TABULAR else _ps_reader)(lines[header])
     pick, short, pad = _picker(columns)
-
-    rows, warnings, seen_pid0 = [], [], False
+    tabs = lines[header].count("\t")
+    del lines[:header + 1]  # the body: lines[i] is physical line i + header + 2
+    warnings = []
 
     def reject(line_no: int, line: str, why: str) -> None:
         bare = line.strip()
@@ -186,36 +210,58 @@ def _checked_rows(text: str, fmt: str | None, strict: bool,
             raise MalformedRow(line_no, why)
         warnings.append(f"line {line_no}: skipped ({why})")
 
-    for line_no, line in enumerate(lines[header + 1:], start=header + 2):
-        if "\t" in line:
-            cells = line.split("\t")
-            cells = pick(cells if len(cells) >= short else cells + pad)
-        else:
-            cells = read(line)
-            if isinstance(cells, str):
-                reject(line_no, line, cells)
-                continue
-        pid, ppid, arch, sess, name, owner = cells
-        name = name.strip()
-        try:
-            pid_n = int(pid)
-        except ValueError:
-            pid_n = -1
-        if name and (pid_n > 0 or pid_n == 0 and not seen_pid0):
-            seen_pid0 = seen_pid0 or pid_n == 0
-            rows.append((pid_n, ppid, arch, sess, name, owner))
-        elif pid_n < 0:
-            pid = pid.strip() if "\t" in line else pid  # a tab row's cell is quoted trimmed
-            reject(line_no, line, f"non-numeric pid cell {pid!r}")
-        else:
-            reject(line_no, line, "duplicate pid-0 row" if name else "empty name cell")
+    def loop(numbered) -> list[tuple]:
+        """The rows kept from ``(line_no, line)`` pairs, read one line at a time."""
+        rows, seen_pid0 = [], False
+        for line_no, line in numbered:
+            if "\t" in line:
+                cells = line.split("\t")
+                cells = pick(cells if len(cells) >= short else cells + pad)
+            else:
+                cells = read(line)
+                if isinstance(cells, str):
+                    reject(line_no, line, cells)
+                    continue
+            pid, ppid, arch, sess, name, owner = cells
+            name = name.strip()
+            try:
+                pid_n = int(pid)
+            except ValueError:
+                pid_n = -1
+            if name and (pid_n > 0 or pid_n == 0 and not seen_pid0):
+                seen_pid0 = seen_pid0 or pid_n == 0
+                rows.append((pid_n, ppid, arch, sess, name, owner))
+            elif pid_n < 0:
+                pid = pid.strip() if "\t" in line else pid  # a tab row's cell is quoted trimmed
+                reject(line_no, line, f"non-numeric pid cell {pid!r}")
+            else:
+                reject(line_no, line, "duplicate pid-0 row" if name else "empty name cell")
+        return rows
+
+    by_column = None
+    in_block = list(map(eq, map(str.count, lines, repeat("\t")), repeat(tabs))) if tabs else ()
+    if any(in_block):
+        outside = list(compress(enumerate(lines, header + 2), map(not_, in_block)))
+        cells = "\t".join(compress(lines, in_block))
+        del lines  # from here the block is held once, not twice: a listing may be 16 MiB
+        cells = cells.split("\t")  # and rebinding drops the joined copy
+        by_column = _columns(cells, columns, tabs + 1)
+        del cells  # not held while a fallback reads the listing again
+        if by_column is None or any(loop([pair]) for pair in outside):
+            warnings.clear()
+            by_column, lines = None, text.splitlines()[header + 1:]
+    if by_column is None:
+        rows = loop(enumerate(lines, header + 2))
+        by_column = [map(itemgetter(i), rows) for i in range(6)]
+    else:
+        rows = zip(*by_column)  # a block holds at least one row
 
     if warnings:
         logger.warning("%s: %d row(s) skipped; first: %s",
                        source_id or "<listing>", len(warnings), warnings[0])
     if not rows:
         raise EmptyListing("header present but no data rows parsed")
-    return fmt, rows, warnings
+    return fmt, rows, by_column, warnings
 
 
 def _entry(pid: int, ppid: str, arch: str, sess: str, name: str, owner: str) -> ProcessEntry:
@@ -242,7 +288,7 @@ def parse_process_list(text: str, fmt: str | None = None, *, strict: bool = Fals
     :class:`UnrecognizedFormat` when no header is found.  ``source_id``
     names the listing in the log warning about skipped rows.
     """
-    fmt, rows, warnings = _checked_rows(text, fmt, strict, source_id)
+    fmt, rows, _, warnings = _checked_rows(text, fmt, strict, source_id)
     return ProcessList(entries=tuple(starmap(_entry, rows)), format=fmt,
                        warnings=tuple(warnings))
 

@@ -1,11 +1,13 @@
 """Parser tests: format detection, lenient/strict behavior, round-trips."""
 
 import logging
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from proctriage import proclist
 from proctriage.errors import EmptyListing, MalformedRow, TriageError, UnrecognizedFormat
 from proctriage.features import featurize, featurize_text
 from proctriage.proclist import (
@@ -286,3 +288,66 @@ def test_featurize_text_equals_featurize_of_the_parsed_list(caplog):
 
     with caplog.at_level(logging.WARNING):
         check()
+
+
+# -- the column read of full-width tab rows equals the per-line read ---------------
+
+_TAB_HEADERS = ["PID\tPPID\tARCH\tSESS\tNAME\tOWNER", "NAME\tOWNER\tPID\tSESS",
+                "PID\tPPID\tUSER\tCMD", "PID\tCMD", "PID\tCMD\tUSER", "PID\tPPID USER\tCMD"]
+_TAB_CELLS = st.one_of(st.sampled_from(["0", "4", "612", "-1", " 12 ", "+8", "x"]),
+                       st.sampled_from(["", " ", "x64", "root", "System", "a b", "\u3000"]),
+                       st.text(alphabet="09 ax-=\t\u00a0\x0b\r", max_size=4))
+_GOOD_CELLS = {"PID": st.integers(0, 40000).map(str),
+               "NAME": st.sampled_from(["System", "svchost.exe", " cmd.exe ", "sshd: alice"]),
+               "OTHER": st.sampled_from(["", "0", "4", "x64", "root", "CORP\\alice "])}
+
+
+@st.composite
+def _tab_listings(draw):
+    """A tab header and rows of its width: in half the listings good rows, in the other
+    half any cells, mixed with rows that are space-aligned or one cell short or long; and
+    now and then any line of ``_LINES``."""
+    header = draw(st.sampled_from(_TAB_HEADERS))
+    kinds = [{"CMD": "NAME", "PID": "PID", "NAME": "NAME"}.get(cell, "OTHER")
+             for cell in header.split("\t")]
+    good = draw(st.booleans())
+    lines = [header]
+    for _ in range(draw(st.integers(0, 8))):
+        cells = [draw(_GOOD_CELLS[kind] if good else _TAB_CELLS) for kind in kinds]
+        lines.append("\t".join(cells) if good else draw(st.sampled_from([
+            "\t".join(cells), "\t".join(cells), "\t".join(cells), "  ".join(cells),
+            "\t".join(cells[:-1]), "\t".join(cells + ["x"])])))
+        if draw(st.integers(0, 5)) == 0:
+            lines.insert(draw(st.integers(0, len(lines))), draw(_LINES))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+def test_the_column_read_equals_the_per_line_read(caplog):
+    def outcome(text, strict):
+        """The rows, columns and warnings ``_checked_rows`` returns, or the error it
+        raises, and the log records it leaves."""
+        caplog.clear()
+        try:
+            fmt, rows, columns, warnings = proclist._checked_rows(text, None, strict, "host")
+            result = fmt, list(rows), [list(c) for c in columns], warnings
+        except TriageError as err:
+            result = type(err), str(err), getattr(err, "line_no", None)
+        return result, [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_tab_listings(), st.booleans())
+    @example("PID\tCMD\n0 0 System\n0\tsvc.exe\n4\t612\n\tx64\tx64\n", True)
+    def check(text, strict):
+        by_column = outcome(text, strict)
+        with mock.patch.object(proclist, "_columns", return_value=None):  # line by line
+            assert by_column == outcome(text, strict)
+
+    with caplog.at_level(logging.WARNING):
+        check()
+
+
+def test_full_width_tab_rows_are_read_by_column():
+    text = TASKLIST_SAMPLE + "?\t?\tmalformed\n\n----\n9\t4\tx64\t1\tcmd.exe\tcorp\\bob\n"
+    _, rows, _, warnings = proclist._checked_rows(text, None, False, "")
+    assert isinstance(rows, zip)  # no per-line fallback
+    assert warnings == ["line 5: skipped (non-numeric pid cell '?')"]
