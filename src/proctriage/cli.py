@@ -176,6 +176,8 @@ def _read_values(path: str, parse, complaint: str) -> list:
 
 
 def _cmd_evaluate(args) -> None:
+    if (args.model_file or args.infile) and (args.pred or args.actual or args.probs):
+        raise MalformedDatasetFile(0, "MODEL and --in do not mix with --pred, --actual or --probs")
     if args.pred or args.actual:
         if not (args.pred and args.actual):
             raise MalformedDatasetFile(0, "--pred and --actual go together")

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import logging
 import re
-import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import compress, repeat, starmap
@@ -111,51 +110,46 @@ def _parse_int(cell: str) -> int | None:
         return None
 
 
-def _picker(columns):
-    """``(pick, short, pad)``: ``pick`` reads six columns of a row extended by
-    ``pad`` when shorter than ``short``; a None column reads '', so pads every row."""
-    width = max(i for i in columns if i is not None) + 1
-    short = width if None not in columns else sys.maxsize
-    return itemgetter(*(-1 if i is None else i for i in columns)), short, [""] * (width + 1)
+def _reader(fmt: str, header: str):
+    """``(columns, pick, pad, read)``, by which the rows under a ``fmt`` header line are read.
 
-
-def _tasklist_reader(header: str):
-    """The six column indices of a tasklist header, by which tab rows are read,
-    and a reader of a space-aligned row's six cells, or of why it is rejected.
-
-    Space-split rows lose their empty cells, so the cells after PID/PPID are
-    consumed by type: an arch token, then an integer session, then the
-    name, then an optional owner.
+    ``columns`` holds the six column indices, None where the header lacks one.  A tab row's
+    six cells are ``pick(cells + pad)``, where a cell past the row's end or a None column
+    (index -1) reads ''; ``read`` gives a space-aligned row's six cells, or why it is
+    rejected.  A ps header and row are split on whitespace, the row at most once per header
+    column so the last keeps its inner spaces.  A tasklist header is split on tabs if it has
+    one, else on runs of two or more spaces; a row is split on such runs, so it loses its
+    empty cells and those after PID/PPID are taken by type: an arch token, an integer
+    session, the name, then an optional owner.
     """
-    cells = ([c.strip() for c in header.split("\t")] if "\t" in header
-             else _SPACE_RUN.split(header.strip()))
-    col_of = {tok.upper(): j for j, tok in enumerate(cells) if tok.upper() in _TASKLIST_COLUMNS}
-    if "PID" not in col_of:  # header not cell-aligned, assume canonical order
-        col_of = {name: j for j, name in enumerate(_TASKLIST_COLUMNS)}
-
-    def read(line: str) -> Sequence[str] | str:
-        cells = _SPACE_RUN.split(line.strip())
-        if len(cells) < 3:
-            return "fewer than three cells"
-        pid, ppid, *rest = cells
-        arch = rest.pop(0) if rest[0].lower() in (ARCH_X86, ARCH_X64) else ""
-        sess = rest.pop(0) if rest and _parse_int(rest[0]) is not None else ""
-        if not rest:
-            return "no name cell"
-        return pid, ppid, arch, sess, rest[0], rest[1] if len(rest) > 1 else ""
-    return [col_of.get(name) for name in _TASKLIST_COLUMNS], read
-
-
-def _ps_reader(header: str):
-    """The six column indices of a ps header and a space-aligned row reader that splits
-    a row at most once per header column, so the last column keeps its inner spaces."""
-    upper = [tok.upper() for tok in header.split()]
-    cmd = next(i for i, tok in enumerate(upper) if tok in ("CMD", "COMMAND"))
-    ppid = upper.index("PPID") if "PPID" in upper else None
-    user = next((i for i, tok in enumerate(upper) if tok in ("USER", "UID")), None)
-    columns = [upper.index("PID"), ppid, None, None, cmd, user]
-    pick, _, pad = _picker(columns)
-    return columns, lambda line: pick(line.split(None, len(upper) - 1) + pad)
+    if fmt == PS_UNIX:
+        upper = [tok.upper() for tok in header.split()]
+        cmd = next(i for i, tok in enumerate(upper) if tok in ("CMD", "COMMAND"))
+        ppid = upper.index("PPID") if "PPID" in upper else None
+        user = next((i for i, tok in enumerate(upper) if tok in ("USER", "UID")), None)
+        columns = [upper.index("PID"), ppid, None, None, cmd, user]
+        def read(line: str) -> Sequence[str]:
+            return pick(line.split(None, len(upper) - 1) + pad)
+    else:
+        cells = ([c.strip() for c in header.split("\t")] if "\t" in header
+                 else _SPACE_RUN.split(header.strip()))
+        col_of = {tok.upper(): j for j, tok in enumerate(cells) if tok.upper() in _TASKLIST_COLUMNS}
+        if "PID" not in col_of:  # header not cell-aligned, assume canonical order
+            col_of = {name: j for j, name in enumerate(_TASKLIST_COLUMNS)}
+        columns = [col_of.get(name) for name in _TASKLIST_COLUMNS]
+        def read(line: str) -> Sequence[str] | str:
+            cells = _SPACE_RUN.split(line.strip())
+            if len(cells) < 3:
+                return "fewer than three cells"
+            pid, ppid, *rest = cells
+            arch = rest.pop(0) if rest[0].lower() in (ARCH_X86, ARCH_X64) else ""
+            sess = rest.pop(0) if rest and _parse_int(rest[0]) is not None else ""
+            if not rest:
+                return "no name cell"
+            return pid, ppid, arch, sess, rest[0], rest[1] if len(rest) > 1 else ""
+    pick = itemgetter(*(-1 if i is None else i for i in columns))
+    pad = [""] * (max(i for i in columns if i is not None) + 2)
+    return columns, pick, pad, read
 
 
 def _columns(cells: list[str], columns: list[int | None], width: int) -> list[list] | None:
@@ -187,17 +181,16 @@ def _checked_rows(text: str, fmt: str | None, strict: bool,
     Under a header with tabs, the body lines with the header's tab count are read by column:
     joined with tabs, split once, each column sliced out with a stride, the pids read by one
     ``map(int, ...)`` and the names trimmed by one ``map(str.strip, ...)``.  Every other
-    line goes through the per-line loop, where a good row pays for its split, one ``int()``
-    of the pid cell (which ignores the whitespace ``strip`` removes) and one ``strip()`` of
-    the name.  If a block row is not a good one, or the loop would keep another line as a
-    row, the whole listing is read line by line, so the outcome is always the loop's.
+    line goes through the per-line loop, read as :func:`_reader` says: a good row pays for
+    its split, one ``int()`` of the pid cell (which ignores the whitespace ``strip`` removes)
+    and one ``strip()`` of the name.  If a block row is not a good one, or the loop would
+    keep another line as a row, the whole listing is read line by line: the loop decides.
     """
     if fmt not in (None, TASKLIST_TABULAR, PS_UNIX):
         raise UnrecognizedFormat(f"unknown format hint {fmt!r}")
     lines = text.splitlines()
     fmt, header = _find_header(lines, fmt)
-    columns, read = (_tasklist_reader if fmt == TASKLIST_TABULAR else _ps_reader)(lines[header])
-    pick, short, pad = _picker(columns)
+    columns, pick, pad, read = _reader(fmt, lines[header])
     tabs = lines[header].count("\t")
     del lines[:header + 1]  # the body: lines[i] is physical line i + header + 2
     warnings = []
@@ -215,8 +208,7 @@ def _checked_rows(text: str, fmt: str | None, strict: bool,
         rows, seen_pid0 = [], False
         for line_no, line in numbered:
             if "\t" in line:
-                cells = line.split("\t")
-                cells = pick(cells if len(cells) >= short else cells + pad)
+                cells = pick(line.split("\t") + pad)
             else:
                 cells = read(line)
                 if isinstance(cells, str):

@@ -309,12 +309,21 @@ def test_evaluate_mismatched_files_is_error(capsys, tmp_path):
     assert "LengthMismatch" in err
 
 
+_MIXED = "MODEL and --in do not mix with --pred, --actual or --probs"
+
+
 @pytest.mark.parametrize("argv, message", [
     ("--pred {labels}", "--pred and --actual go together"),
     ("--actual {labels}", "--pred and --actual go together"),
     ("{model}", "need MODEL and --in DATASET, or --pred/--actual"),
     ("--in {data}", "need MODEL and --in DATASET, or --pred/--actual"),
-], ids=["pred-only", "actual-only", "model-only", "in-only"])
+    ("{model} --in {data} --probs {labels}", _MIXED),
+    ("{model} --in {data} --pred {labels} --actual {labels}", _MIXED),
+    ("{model} --pred {labels} --actual {labels}", _MIXED),
+    ("--in {data} --pred {labels} --actual {labels}", _MIXED),
+    ("--in {data} --probs {labels}", _MIXED),
+], ids=["pred-only", "actual-only", "model-only", "in-only", "model-in-probs",
+        "model-in-pred-actual", "model-pred-actual", "in-pred-actual", "in-probs"])
 def test_evaluate_without_its_pair_of_inputs_is_error(capsys, tree_model, dataset_csv,
                                                       tmp_path, argv, message):
     labels = tmp_path / "labels.txt"

@@ -1,6 +1,7 @@
 """Parser tests: format detection, lenient/strict behavior, round-trips."""
 
 import logging
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proctriage import proclist
+from proctriage.datagen import generate_process_list
 from proctriage.errors import EmptyListing, MalformedRow, TriageError, UnrecognizedFormat
-from proctriage.features import featurize, featurize_text
+from proctriage.features import Label, featurize, featurize_text
 from proctriage.proclist import (
     PS_UNIX,
     TASKLIST_TABULAR,
@@ -346,8 +348,24 @@ def test_the_column_read_equals_the_per_line_read(caplog):
         check()
 
 
-def test_full_width_tab_rows_are_read_by_column():
-    text = TASKLIST_SAMPLE + "?\t?\tmalformed\n\n----\n9\t4\tx64\t1\tcmd.exe\tcorp\\bob\n"
+@pytest.mark.parametrize("shape", ["sample", "tasklist", "ps", "tasklist-malformed",
+                                   "ps-malformed"])
+def test_full_width_tab_rows_are_read_by_column(shape):
+    """The bulk-ingest benchmark's listing shapes (a generated listing, as tasklist or as
+    ps, with its malformed row mid-listing or without) stay on the column read: the
+    exactness tests cannot see a listing sent back to the slower per-line loop."""
+    if shape == "sample":
+        text = TASKLIST_SAMPLE + "?\t?\tmalformed\n\n----\n9\t4\tx64\t1\tcmd.exe\tcorp\\bob\n"
+    else:
+        text = generate_process_list(Label.TARGET, seed=7)
+        if shape.startswith("ps"):
+            text = serialize_process_list(replace(parse_process_list(text), format=PS_UNIX))
+        if shape.endswith("malformed"):
+            lines = text.splitlines()
+            lines.insert(len(lines) // 2, "?\t?\tmalformed")
+            text = "\n".join(lines) + "\n"
     _, rows, _, warnings = proclist._checked_rows(text, None, False, "")
     assert isinstance(rows, zip)  # no per-line fallback
-    assert warnings == ["line 5: skipped (non-numeric pid cell '?')"]
+    bad = [n for n, line in enumerate(text.splitlines(), 1) if line.startswith("?")]
+    assert len(bad) == (shape not in ("tasklist", "ps"))
+    assert warnings == [f"line {n}: skipped (non-numeric pid cell '?')" for n in bad]
