@@ -89,32 +89,21 @@ class GenConfig:
             raise ValueError("nothing to generate")
 
 
-def _clamp_round(z: float, profile: FeatureProfile, upper: int | None = None) -> int:
-    hi = profile.max if upper is None else min(profile.max, upper)
-    value = int(np.rint(profile.mean + profile.std * z))
-    return int(np.clip(value, profile.min, hi))
-
-
-def _draw_pair(rng: np.random.Generator, profile: ClassProfile) -> tuple[int, int]:
-    """One (process_count, user_count) draw from the class joint."""
-    rho = profile.correlation
-    z1 = rng.standard_normal()
-    z2 = rho * z1 + np.sqrt(1.0 - rho * rho) * rng.standard_normal()
-    pc = _clamp_round(z1, profile.process_count)
-    uc = _clamp_round(z2, profile.user_count, upper=pc)
-    return pc, uc
+def _draw_counts(rng: np.random.Generator, profile: ClassProfile,
+                 n: int) -> tuple[list[int], list[int]]:
+    """``n`` process counts and ``n`` user counts drawn from the class joint."""
+    pcp, ucp, rho = profile.process_count, profile.user_count, profile.correlation
+    z = rng.standard_normal((n, 2))  # per draw, the same two normals as two scalar calls
+    pc = np.clip(np.rint(pcp.mean + pcp.std * z[:, 0]), pcp.min, pcp.max)
+    z2 = rho * z[:, 0] + np.sqrt(1.0 - rho * rho) * z[:, 1]
+    uc = np.clip(np.rint(ucp.mean + ucp.std * z2), ucp.min, np.minimum(ucp.max, pc))
+    return pc.astype(int).tolist(), uc.astype(int).tolist()
 
 
 def _draw_class(rng, profile: ClassProfile, n: int, label: Label):
-    samples = []
-    for _ in range(n):
-        pc, uc = _draw_pair(rng, profile)
-        samples.append(LabeledSample(
-            features=FeatureVector.from_counts(pc, uc),
-            label=label,
-            origin=SYNTHETIC_ORIGIN,
-        ))
-    return samples
+    return [LabeledSample(features=FeatureVector.from_counts(pc, uc), label=label,
+                          origin=SYNTHETIC_ORIGIN)
+            for pc, uc in zip(*_draw_counts(rng, profile, n))]
 
 
 def generate_dataset(config: GenConfig | None = None) -> LabeledDataset:
@@ -168,7 +157,7 @@ def generate_process_list(label: Label, seed: int = 0,
         raise ValueError(f"process_count.max {profile.process_count.max} exceeds the "
                          f"{len(_PID_POOL)} distinct pids a generated listing can draw")
     rng = np.random.default_rng(seed)
-    pc, uc = _draw_pair(rng, profile)
+    (pc,), (uc,) = _draw_counts(rng, profile, 1)
 
     if label == Label.SANDBOX:
         # analysis VMs run the sample elevated, so every owner is visible:

@@ -20,7 +20,7 @@ _RATES = ("precision", "recall", "f1")
 
 
 def confusion(pred, actual) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Tally (actual, predicted) label pairs."""
+    """Tally (actual, predicted) label pairs; a label other than 0 or 1 raises."""
     pred, actual = list(pred), list(actual)
     if len(pred) != len(actual):
         raise LengthMismatch(f"{len(pred)} predictions vs {len(actual)} labels")
@@ -28,6 +28,8 @@ def confusion(pred, actual) -> tuple[tuple[int, int], tuple[int, int]]:
         raise LengthMismatch("empty label sequences")
     cells = [[0, 0], [0, 0]]
     for p, a in zip(pred, actual):
+        if p not in (0, 1) or a not in (0, 1):
+            raise ValueError(f"label {p if a in (0, 1) else a!r} is neither 0 nor 1")
         cells[int(a)][int(p)] += 1
     return tuple(cells[0]), tuple(cells[1])
 

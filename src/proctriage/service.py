@@ -325,15 +325,17 @@ class Service:
     # model management
 
     def _install(self, model: Model, persist: bool) -> dict:
-        if persist:
-            tmp = self.data_dir / (MODEL_FILENAME + ".tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(model.document + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.data_dir / MODEL_FILENAME)
-            _fsync_dir(self.data_dir)
+        # one activation at a time: two would share model.json.tmp, and the
+        # file on disk could end up torn or other than the model served
         with self._model_lock:
+            if persist:
+                tmp = self.data_dir / (MODEL_FILENAME + ".tmp")
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    fh.write(model.document + "\n")
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                os.replace(tmp, self.data_dir / MODEL_FILENAME)
+                _fsync_dir(self.data_dir)
             self._active = (model, time.time())
         return self.model_info()
 
@@ -558,9 +560,6 @@ class _Handler(BaseHTTPRequestHandler):
         options = {o.strip(" \t") for o in headers.get("Connection", "").lower().split(",")}
         if "close" in options or "keep-alive" in options:
             self.close_connection = "close" in options
-        if (headers.get("Expect", "").lower() == "100-continue"
-                and self.request_version >= "HTTP/1.1"):
-            return self.handle_expect_100()
         return True
 
     def date_time_string(self, timestamp=None):
@@ -571,13 +570,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, fmt, *args):
         logger.debug("%s " + fmt, self.address_string(), *args)  # formatted only at DEBUG
-
-    def handle_expect_100(self):
-        # the stdlib leaves "100 Continue" in the buffered wfile, but the
-        # client waits for it before it sends the body
-        proceed = super().handle_expect_100()
-        self.wfile.flush()
-        return proceed
 
     def send_error(self, code, message=None, explain=None):
         # the errors the stdlib answers itself (a bad request line, an unknown
@@ -626,6 +618,11 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True  # the body stays unread
             raise _HttpError(413, f"body over {MAX_BODY_BYTES} bytes")
         size = int(length)
+        # a request refused above gets its refusal only (RFC 9110 §10.1.1)
+        if size and self.request_version >= "HTTP/1.1" and (
+                self.headers.get("Expect", "").lower() == "100-continue"):
+            self.handle_expect_100()
+            self.wfile.flush()  # the client waits for it before it sends the body
         raw = self.rfile.read(size)
         if len(raw) < size:
             self.close_connection = True  # the client hung up mid-body

@@ -48,6 +48,16 @@ def test_confusion_length_mismatch():
         confusion([], [])
 
 
+@pytest.mark.parametrize("check, pred, actual, label", [
+    (evaluate_predictions, [1, 1], [-1, 1], "-1"),  # once read as the sandbox row
+    (confusion, [0.7, 1], [0, 1], "0.7"),  # once truncated to 0
+    (confusion, [2], [0], "2"),  # once an IndexError
+], ids=["minus-one", "fraction", "two"])
+def test_a_label_other_than_0_or_1_is_refused(check, pred, actual, label):
+    with pytest.raises(ValueError, match=f"^label {label} is neither 0 nor 1$"):
+        check(pred, actual)
+
+
 def test_confusion_matrix_validation():
     for check in (class_metrics, accuracy):
         with pytest.raises(ValueError):

@@ -39,6 +39,7 @@ from proctriage.features import (
 )
 from proctriage.service import (
     MAX_BODY_BYTES,
+    MODEL_FILENAME,
     SampleRecord,
     SampleStore,
     Service,
@@ -48,6 +49,7 @@ from proctriage.service import (
     _Handler,
     load_model,
     make_server,
+    read_model_file,
     record_from_dict,
     record_to_dict,
     submit_response,
@@ -432,6 +434,20 @@ def test_expect_100_continue_is_answered_before_the_body(live, sandbox_host_text
         reply = _read_to_eof(sock)
     assert reply.startswith(b"HTTP/1.1 200 ")
     assert json.loads(reply.split(b"\r\n\r\n", 1)[1])["features"]
+
+
+@pytest.mark.parametrize("request_head, status", [
+    (f"POST /v1/classify HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES + 1}", 413),
+    ("POST /v1/classify HTTP/1.1\r\nContent-Length: x", 400),
+    ("POST /v1/classify HTTP/1.1\r\nTransfer-Encoding: chunked", 501),
+    ("PUT /v1/classify HTTP/1.1\r\nContent-Length: 5", 501),
+], ids=["over-cap", "bad-length", "chunked", "put"])
+def test_expect_100_continue_is_not_sent_before_a_refusal(live, request_head, status):
+    base, _ = live
+    reply = _exchange(base, f"{request_head}\r\nHost: t\r\n"
+                            f"Expect: 100-continue\r\n\r\n".encode())
+    assert reply.startswith(f"HTTP/1.1 {status} ".encode()), reply
+    assert b" 100 Continue" not in reply
 
 
 def test_large_response_arrives_whole_on_a_keep_alive_connection(live, safe_host_text):
@@ -995,6 +1011,28 @@ def test_model_persists_across_restart(tmp_path, sandbox_host_text):
     info = svc2.model_info()
     assert info["active"] is True and info["kind"] == "dtree"
     assert svc2.classify(sandbox_host_text) == first
+
+
+def test_concurrent_activations_leave_the_served_model_on_disk(tmp_path):
+    data = generate_dataset(GenConfig(n_safe=200, n_unsafe=40, seed=3))
+    docs = [tree_to_dict(train_tree(data, TreeConfig(max_depth=depth))) for depth in (None, 1)]
+    for trial in range(20):
+        config = ServiceConfig(data_dir=tmp_path / str(trial), port=0)
+        service, barrier, infos = Service(config), threading.Barrier(2), []
+
+        def activate(doc):
+            barrier.wait()
+            infos.append(service.activate_model(doc))  # an exception here fails the test
+
+        threads = [threading.Thread(target=activate, args=(doc,)) for doc in docs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(infos) == 2
+        served = service.model_info()["model_id"]
+        assert read_model_file(config.data_dir / MODEL_FILENAME).model_id == served
+        assert Service(config).model_info()["model_id"] == served
 
 
 # -- durability ----------------------------------------------------------------------
