@@ -150,7 +150,7 @@ def featurize_text(text: str, *, strict: bool = False) -> tuple[FeatureVector, i
     pid and owner columns alone, and for the rows read by column (a tab
     listing's full-width rows) builds no tuple per row either.
     """
-    _, _, columns, warnings = _checked_rows(text, None, strict, "")
+    _, columns, warnings = _checked_rows(text, None, strict, "")
     return _vector(columns[0], columns[5]), len(warnings)
 
 

@@ -22,7 +22,7 @@ import logging
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import compress, repeat, starmap
+from itertools import compress, repeat
 from operator import eq, itemgetter, not_
 
 from .errors import EmptyListing, MalformedRow, UnrecognizedFormat
@@ -111,16 +111,16 @@ def _parse_int(cell: str) -> int | None:
 
 
 def _reader(fmt: str, header: str):
-    """``(columns, pick, pad, read)``, by which the rows under a ``fmt`` header line are read.
+    """``(columns, read)``, by which the rows under a ``fmt`` header line are read.
 
-    ``columns`` holds the six column indices, None where the header lacks one.  A tab row's
-    six cells are ``pick(cells + pad)``, where a cell past the row's end or a None column
-    (index -1) reads ''; ``read`` gives a space-aligned row's six cells, or why it is
-    rejected.  A ps header and row are split on whitespace, the row at most once per header
-    column so the last keeps its inner spaces.  A tasklist header is split on tabs if it has
-    one, else on runs of two or more spaces; a row is split on such runs, so it loses its
-    empty cells and those after PID/PPID are taken by type: an arch token, an integer
-    session, the name, then an optional owner.
+    ``columns`` holds the six column indices, None where the header lacks one.  ``read``
+    gives a row's six cells, or why it is rejected.  A row with a tab is split on tabs in
+    either format and its cells taken at ``columns``: a cell past the row's end or a None
+    column reads '', and the pid cell is trimmed.  A ps header and row are split on
+    whitespace, the row at most once per header column so the last keeps its inner spaces.
+    A tasklist header is split on tabs if it has one, else on runs of two or more spaces; a
+    row is split on such runs, so it loses its empty cells and those after PID/PPID are
+    taken by type: an arch token, an integer session, the name, then an optional owner.
     """
     if fmt == PS_UNIX:
         upper = [tok.upper() for tok in header.split()]
@@ -129,7 +129,7 @@ def _reader(fmt: str, header: str):
         user = next((i for i, tok in enumerate(upper) if tok in ("USER", "UID")), None)
         columns = [upper.index("PID"), ppid, None, None, cmd, user]
         def read(line: str) -> Sequence[str]:
-            return pick(line.split(None, len(upper) - 1) + pad)
+            return tab_row(line) if "\t" in line else pick(line.split(None, len(upper) - 1) + pad)
     else:
         cells = ([c.strip() for c in header.split("\t")] if "\t" in header
                  else _SPACE_RUN.split(header.strip()))
@@ -138,6 +138,8 @@ def _reader(fmt: str, header: str):
             col_of = {name: j for j, name in enumerate(_TASKLIST_COLUMNS)}
         columns = [col_of.get(name) for name in _TASKLIST_COLUMNS]
         def read(line: str) -> Sequence[str] | str:
+            if "\t" in line:
+                return tab_row(line)
             cells = _SPACE_RUN.split(line.strip())
             if len(cells) < 3:
                 return "fewer than three cells"
@@ -149,7 +151,11 @@ def _reader(fmt: str, header: str):
             return pid, ppid, arch, sess, rest[0], rest[1] if len(rest) > 1 else ""
     pick = itemgetter(*(-1 if i is None else i for i in columns))
     pad = [""] * (max(i for i in columns if i is not None) + 2)
-    return columns, pick, pad, read
+    def tab_row(line: str) -> Sequence[str]:
+        cells = line.split("\t") + pad
+        cells[columns[0]] = cells[columns[0]].strip()  # so a bad pid is quoted trimmed
+        return pick(cells)
+    return columns, read
 
 
 def _columns(cells: list[str], columns: list[int | None], width: int) -> list[list] | None:
@@ -168,15 +174,14 @@ def _columns(cells: list[str], columns: list[int | None], width: int) -> list[li
 
 
 def _checked_rows(text: str, fmt: str | None, strict: bool,
-                  source_id: str) -> tuple[str, Iterable[tuple], list[Iterable], list[str]]:
-    """The listing's format, its checked rows, the same rows' six columns, and the warnings
-    of its skipped rows.
+                  source_id: str) -> tuple[str, list[Iterable], list[str]]:
+    """The listing's format, the six columns of its checked rows, and the warnings of its
+    skipped rows.
 
     The one row reader of :func:`parse_process_list` and ``features.featurize_text``; it
     makes every check, logs and raises as that docstring says.  A checked row is ``(pid,
     ppid, arch, sess, name, owner)``: the pid an int >= 0 (at most one is 0), the name
-    trimmed and not blank, the other cells as read.  The rows and the columns are two views
-    of one read, each lazy over the other's data, so a caller pays only for the one it uses.
+    trimmed and not blank, the other cells as read.  Each column is read once, in row order.
 
     Under a header with tabs, the body lines with the header's tab count are read by column:
     joined with tabs, split once, each column sliced out with a stride, the pids read by one
@@ -190,7 +195,7 @@ def _checked_rows(text: str, fmt: str | None, strict: bool,
         raise UnrecognizedFormat(f"unknown format hint {fmt!r}")
     lines = text.splitlines()
     fmt, header = _find_header(lines, fmt)
-    columns, pick, pad, read = _reader(fmt, lines[header])
+    columns, read = _reader(fmt, lines[header])
     tabs = lines[header].count("\t")
     del lines[:header + 1]  # the body: lines[i] is physical line i + header + 2
     warnings = []
@@ -207,13 +212,10 @@ def _checked_rows(text: str, fmt: str | None, strict: bool,
         """The rows kept from ``(line_no, line)`` pairs, read one line at a time."""
         rows, seen_pid0 = [], False
         for line_no, line in numbered:
-            if "\t" in line:
-                cells = pick(line.split("\t") + pad)
-            else:
-                cells = read(line)
-                if isinstance(cells, str):
-                    reject(line_no, line, cells)
-                    continue
+            cells = read(line)
+            if isinstance(cells, str):
+                reject(line_no, line, cells)
+                continue
             pid, ppid, arch, sess, name, owner = cells
             name = name.strip()
             try:
@@ -224,7 +226,6 @@ def _checked_rows(text: str, fmt: str | None, strict: bool,
                 seen_pid0 = seen_pid0 or pid_n == 0
                 rows.append((pid_n, ppid, arch, sess, name, owner))
             elif pid_n < 0:
-                pid = pid.strip() if "\t" in line else pid  # a tab row's cell is quoted trimmed
                 reject(line_no, line, f"non-numeric pid cell {pid!r}")
             else:
                 reject(line_no, line, "duplicate pid-0 row" if name else "empty name cell")
@@ -242,18 +243,16 @@ def _checked_rows(text: str, fmt: str | None, strict: bool,
         if by_column is None or any(loop([pair]) for pair in outside):
             warnings.clear()
             by_column, lines = None, text.splitlines()[header + 1:]
-    if by_column is None:
+    if by_column is None:  # a block holds at least one row, the loop perhaps none
         rows = loop(enumerate(lines, header + 2))
-        by_column = [map(itemgetter(i), rows) for i in range(6)]
-    else:
-        rows = zip(*by_column)  # a block holds at least one row
+        by_column = [map(itemgetter(i), rows) for i in range(6)] if rows else None
 
     if warnings:
         logger.warning("%s: %d row(s) skipped; first: %s",
                        source_id or "<listing>", len(warnings), warnings[0])
-    if not rows:
+    if by_column is None:
         raise EmptyListing("header present but no data rows parsed")
-    return fmt, rows, by_column, warnings
+    return fmt, by_column, warnings
 
 
 def _entry(pid: int, ppid: str, arch: str, sess: str, name: str, owner: str) -> ProcessEntry:
@@ -280,8 +279,8 @@ def parse_process_list(text: str, fmt: str | None = None, *, strict: bool = Fals
     :class:`UnrecognizedFormat` when no header is found.  ``source_id``
     names the listing in the log warning about skipped rows.
     """
-    fmt, rows, _, warnings = _checked_rows(text, fmt, strict, source_id)
-    return ProcessList(entries=tuple(starmap(_entry, rows)), format=fmt,
+    fmt, columns, warnings = _checked_rows(text, fmt, strict, source_id)
+    return ProcessList(entries=tuple(map(_entry, *columns)), format=fmt,
                        warnings=tuple(warnings))
 
 

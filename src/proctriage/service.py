@@ -604,37 +604,37 @@ class _Handler(BaseHTTPRequestHandler):
         if not hmac.compare_digest(supplied, f"Bearer {token}".encode("utf-8")):
             raise _HttpError(401, "missing or invalid bearer token")
 
-    def _read_body(self) -> bytes:
-        """The declared body, read whole so the next request starts after it."""
+    def _body_size(self) -> int:
+        """The declared body's size, once its framing is checked."""
         if self.headers.get("Transfer-Encoding") is not None:
-            self.close_connection = True  # the body's end is unknown
             raise _HttpError(501, "Transfer-Encoding is not supported")
         length = self.headers.get("Content-Length") or "0"  # a repeat reads "5, 55"
         if not length.isdecimal():
-            self.close_connection = True  # the body's end is unknown
             raise _HttpError(400, "Content-Length must be a non-negative integer")
         # the length check comes first: int() refuses over 4,300 digits
         if len(length) > len(str(MAX_BODY_BYTES)) or int(length) > MAX_BODY_BYTES:
-            self.close_connection = True  # the body stays unread
             raise _HttpError(413, f"body over {MAX_BODY_BYTES} bytes")
-        size = int(length)
-        # a request refused above gets its refusal only (RFC 9110 §10.1.1)
-        if size and self.request_version >= "HTTP/1.1" and (
-                self.headers.get("Expect", "").lower() == "100-continue"):
-            self.handle_expect_100()
-            self.wfile.flush()  # the client waits for it before it sends the body
+        return int(length)
+
+    def _read_body(self, size: int) -> bytes:
+        """The declared body, read whole so the next request starts after it."""
         raw = self.rfile.read(size)
-        if len(raw) < size:
-            self.close_connection = True  # the client hung up mid-body
+        if len(raw) < size:  # the client hung up mid-body
             raise _HttpError(400, "body shorter than Content-Length")
         return raw
 
     # dispatch
 
     def _dispatch(self) -> None:
-        method = self.command
+        method, body = self.command, None  # None while the body is unread
         try:
-            body = self._read_body()
+            size = self._body_size()
+            # a body sent only once told to continue is read after the checks below, so a
+            # request they refuse gets only its refusal (RFC 9110 §10.1.1); any other body is
+            # read first, so a refusal leaves the connection in step
+            if not (size and self.request_version >= "HTTP/1.1"
+                    and self.headers.get("Expect", "").lower() == "100-continue"):
+                body = self._read_body(size)
             self._check_auth()
             url = urlsplit(self.path)
             route = _route(url.path)
@@ -643,8 +643,14 @@ class _Handler(BaseHTTPRequestHandler):
             methods, groups = route
             if method not in methods:
                 raise _HttpError(405, f"{method} not supported here", Allow=", ".join(methods))
+            if body is None:
+                self.handle_expect_100()
+                self.wfile.flush()  # the client waits for it before it sends the body
+                body = self._read_body(size)
             self._reply(200, methods[method](self.service, body, url.query, *groups))
         except _HttpError as err:
+            if body is None:  # the body's end is unknown, or it stays unread
+                self.close_connection = True
             self._reply(err.status, {"error": err.message}, **err.headers)
         except TimeoutError:
             raise  # handle_one_request drops the connection without a reply

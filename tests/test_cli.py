@@ -63,6 +63,16 @@ def test_parse_table(capsys):
     assert "smss.exe" in out
 
 
+def test_parse_table_shows_a_missing_session_and_owner_as_a_dash(capsys, tmp_path):
+    listing = tmp_path / "listing.txt"
+    listing.write_text("PID\tPPID\tARCH\tSESS\tNAME\tOWNER\n"
+                       "4\t0\tx64\t\tSystem\t\n8\t4\tx86\t1\tcmd.exe\tCORP\\bob\n")
+    code, out, _ = run(capsys, "parse", "--in", str(listing))
+    assert code == 0
+    assert out.splitlines()[1:3] == [f"     4      0 x64        -  {'System':<36} -",
+                                     f"     8      4 x86        1  {'cmd.exe':<36} CORP\\bob"]
+
+
 def test_parse_json_out(capsys, tmp_path):
     out_path = tmp_path / "parsed.json"
     code, _, _ = run(capsys, "parse", "--in", f"{FIX}/safe_host.txt", "--out", str(out_path))
@@ -111,6 +121,13 @@ def test_listen_port_takes_ascii_digits_only(capsys, tmp_path):
                                    "--listen", "127.0.0.1:\u0668\u0660"])
     assert exc.value.code == 2
     assert "port must be an integer from 0 to 65535" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("listen, address", [(":8750", ("127.0.0.1", 8750)),
+                                             ("0.0.0.0:8750", ("0.0.0.0", 8750))])
+def test_listen_without_a_host_binds_the_loopback(tmp_path, listen, address):
+    args = build_parser().parse_args(["serve", "--data-dir", str(tmp_path), "--listen", listen])
+    assert args.listen == address
 
 
 # -- datagen / stats / split ------------------------------------------------------

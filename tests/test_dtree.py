@@ -365,6 +365,8 @@ def test_from_dict_rejects_garbage():
     data = _dataset([(10, 1, Label.TARGET), (40, 2, Label.SANDBOX)])
     model = train_tree(data)
     doc = tree_to_dict(model)
+    with pytest.raises(ModelFormatError, match="^not a dtree-v1 document$"):
+        tree_from_dict({**doc, "version": "dtree-v2"})  # a good tree of another version
     del doc["root"]["left"]
     with pytest.raises(ModelFormatError):
         tree_from_dict(doc)

@@ -124,8 +124,8 @@ def test_scaler_clamps_out_of_range():
 
 def test_scaler_degenerate_feature_maps_to_zero():
     params = ScalerParams(mins=(10.0, 2.0, 5.0), maxs=(110.0, 2.0, 55.0))
-    out = params.transform(np.array([[60.0, 2.0, 30.0]]))
-    assert out[0][1] == 0.0
+    out = params.transform(np.array([[60.0, 2.0, 30.0], [60.0, 7.0, 30.0], [60.0, 1.0, 30.0]]))
+    assert out[:, 1].tolist() == [0.0, 0.0, 0.0]  # out of range too, above and below
 
 
 @settings(max_examples=60)
@@ -194,6 +194,13 @@ def test_split_rejects_bad_inputs():
         split_dataset(_dataset([(10, 1, Label.TARGET)]), 0.8, seed=0)
     with pytest.raises(DatasetTooSmall):
         split_dataset(data, 0.2, seed=0)  # floor leaves train empty
+
+
+def test_split_of_exactly_two_samples_puts_one_on_each_side():
+    data = _dataset([(10, 1, Label.TARGET), (20, 1, Label.SANDBOX)])
+    train, test = split_dataset(data, 0.5, seed=0)
+    assert sorted(s.features.process_count for s in (*train, *test)) == [10, 20]
+    assert (len(train), len(test)) == (1, 1)
 
 
 # -- CSV ---------------------------------------------------------------------

@@ -326,12 +326,12 @@ def _tab_listings(draw):
 
 def test_the_column_read_equals_the_per_line_read(caplog):
     def outcome(text, strict):
-        """The rows, columns and warnings ``_checked_rows`` returns, or the error it
+        """The format, columns and warnings ``_checked_rows`` returns, or the error it
         raises, and the log records it leaves."""
         caplog.clear()
         try:
-            fmt, rows, columns, warnings = proclist._checked_rows(text, None, strict, "host")
-            result = fmt, list(rows), [list(c) for c in columns], warnings
+            fmt, columns, warnings = proclist._checked_rows(text, None, strict, "host")
+            result = fmt, [list(c) for c in columns], warnings
         except TriageError as err:
             result = type(err), str(err), getattr(err, "line_no", None)
         return result, [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
@@ -364,8 +364,8 @@ def test_full_width_tab_rows_are_read_by_column(shape):
             lines = text.splitlines()
             lines.insert(len(lines) // 2, "?\t?\tmalformed")
             text = "\n".join(lines) + "\n"
-    _, rows, _, warnings = proclist._checked_rows(text, None, False, "")
-    assert isinstance(rows, zip)  # no per-line fallback
+    _, columns, warnings = proclist._checked_rows(text, None, False, "")
+    assert all(isinstance(c, list) for c in columns)  # no per-line fallback
     bad = [n for n, line in enumerate(text.splitlines(), 1) if line.startswith("?")]
     assert len(bad) == (shape not in ("tasklist", "ps"))
     assert warnings == [f"line {n}: skipped (non-numeric pid cell '?')" for n in bad]

@@ -270,6 +270,12 @@ def test_oversized_content_length_is_413_and_closes(live, length):
     assert reply.count(b"HTTP/1.1 ") == 1
 
 
+def test_a_body_of_exactly_the_cap_is_read(live):
+    base, _ = live
+    request = f"POST /v1/nonsense HTTP/1.1\r\nHost: t\r\nContent-Length: {MAX_BODY_BYTES}\r\n\r\n"
+    assert _statuses_of(base, request + "x" * MAX_BODY_BYTES) == [404, 200]
+
+
 def test_stalled_body_is_dropped_without_a_reply(live, monkeypatch, caplog):
     base, service = live
     assert _Handler.timeout is not None
@@ -448,6 +454,25 @@ def test_expect_100_continue_is_not_sent_before_a_refusal(live, request_head, st
                             f"Expect: 100-continue\r\n\r\n".encode())
     assert reply.startswith(f"HTTP/1.1 {status} ".encode()), reply
     assert b" 100 Continue" not in reply
+
+
+@pytest.mark.parametrize("request_line, token, status", [
+    ("POST /v1/classify", "wrong", 401),
+    ("POST /v1/nonsense", "sesame", 404),
+    ("POST /v1/export.csv", "sesame", 405),
+], ids=["bad-token", "unknown-route", "wrong-method"])
+def test_expect_100_continue_is_not_sent_before_a_refused_token_route_or_method(
+        token_live, request_line, token, status):
+    base, service = token_live
+    with socket.create_connection(("127.0.0.1", _port(base)), timeout=3) as sock:
+        sock.sendall(f"{request_line} HTTP/1.1\r\nHost: t\r\nAuthorization: Bearer {token}\r\n"
+                     f"Expect: 100-continue\r\nContent-Length: 10\r\n\r\n".encode())
+        first = sock.recv(4096)  # the body is never sent
+        assert first.startswith(f"HTTP/1.1 {status} ".encode()), first
+        head = (first + _read_to_eof(sock)).partition(b"\r\n\r\n")[0].split(b"\r\n")
+    assert b"Connection: close" in head
+    assert (b"Allow: GET" in head) == (status == 405)
+    assert len(service.store) == 0
 
 
 def test_large_response_arrives_whole_on_a_keep_alive_connection(live, safe_host_text):
