@@ -8,13 +8,16 @@ prediction can never leak test-set statistics.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DatasetTooSmall, LengthMismatch, ModelFormatError
 from .features import (FeatureVector, Label, LabeledDataset, LabeledSample, ScalerParams,
                        _number, _typed, _whole, fit_scaler)
+
+if TYPE_CHECKING:  # NumPy loads with the first network built, loaded or trained
+    import numpy as np
 
 ANN_SCHEMA_VERSION = "ann-v1"
 BCE_EPS = 1e-7
@@ -33,7 +36,7 @@ class AnnConfig:
             raise ValueError("layer_sizes must run from 3 inputs to 1 output")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
-        if not np.isfinite(self.learning_rate):
+        if not math.isfinite(self.learning_rate):
             raise ValueError("learning_rate must be finite")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
@@ -65,12 +68,14 @@ class LossHistory:
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below: exp never sees a positive power
+    import numpy as np
     z = np.asarray(z, dtype=float)
     return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
 def init_network(config: AnnConfig) -> NeuralNetModel:
     """Fresh model with weights and biases uniform in +/- INIT_RANGE."""
+    import numpy as np
     rng = np.random.default_rng(config.seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(config.layer_sizes[:-1], config.layer_sizes[1:]):
@@ -90,12 +95,14 @@ def _forward_batch(model: NeuralNetModel, x: np.ndarray) -> list[np.ndarray]:
 
 def forward(model: NeuralNetModel, scaled_input) -> float:
     """Probability of the sandbox class for one already-scaled triple."""
+    import numpy as np
     a = np.asarray(scaled_input, dtype=float).reshape(1, -1)
     return float(_forward_batch(model, a)[-1][0, 0])
 
 
 def bce_loss(probs, labels) -> float:
     """Mean binary cross-entropy with probabilities clamped away from 0/1."""
+    import numpy as np
     p = np.asarray(probs, dtype=float)
     y = np.asarray(labels, dtype=float)
     if p.shape != y.shape:
@@ -128,6 +135,7 @@ def train_ann(train: LabeledDataset, config: AnnConfig | None = None
     """
     if not len(train):
         raise DatasetTooSmall("cannot train a network on an empty dataset")
+    import numpy as np
     config = config or AnnConfig()
     model = init_network(config)
     model.scaler = fit_scaler(train)
@@ -167,6 +175,7 @@ def gradient_check(model: NeuralNetModel, sample: LabeledSample, step: float = 1
     Every weight and bias is perturbed individually; parameters whose
     analytic and numeric gradients are both ~0 contribute no error.
     """
+    import numpy as np
     x = _scaled(model, sample.features).reshape(1, -1)
     y = np.array([[float(sample.label)]])
 
@@ -208,6 +217,7 @@ def ann_to_dict(model: NeuralNetModel) -> dict:
 def ann_from_dict(doc: dict) -> NeuralNetModel:
     if not isinstance(doc, dict) or doc.get("version") != ANN_SCHEMA_VERSION:
         raise ModelFormatError(f"not an {ANN_SCHEMA_VERSION} document")
+    import numpy as np
     try:
         sizes = tuple(map(_whole, _typed(doc["layer_sizes"], list)))
         layers = zip(_typed(doc["weights"], list, len(sizes) - 1),

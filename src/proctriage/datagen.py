@@ -11,8 +11,7 @@ demos feed on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .features import FeatureVector, Label, LabeledDataset, LabeledSample
 from .proclist import (
@@ -23,6 +22,9 @@ from .proclist import (
     ProcessList,
     serialize_process_list,
 )
+
+if TYPE_CHECKING:  # NumPy loads with the first draw
+    import numpy as np
 
 SYNTHETIC_ORIGIN = "synthetic"
 
@@ -92,6 +94,7 @@ class GenConfig:
 def _draw_counts(rng: np.random.Generator, profile: ClassProfile,
                  n: int) -> tuple[list[int], list[int]]:
     """``n`` process counts and ``n`` user counts drawn from the class joint."""
+    import numpy as np
     pcp, ucp, rho = profile.process_count, profile.user_count, profile.correlation
     z = rng.standard_normal((n, 2))  # per draw, the same two normals as two scalar calls
     pc = np.clip(np.rint(pcp.mean + pcp.std * z[:, 0]), pcp.min, pcp.max)
@@ -108,6 +111,7 @@ def _draw_class(rng, profile: ClassProfile, n: int, label: Label):
 
 def generate_dataset(config: GenConfig | None = None) -> LabeledDataset:
     """Draw a labeled dataset, safe samples first, then unsafe."""
+    import numpy as np
     config = config or GenConfig()
     rng = np.random.default_rng(config.seed)
     samples = _draw_class(rng, SAFE_PROFILE, config.n_safe, Label.TARGET)
@@ -133,7 +137,7 @@ _NAME_POOL = (
     "powershell.exe", "cmd.exe", "notepad.exe",
 )
 
-_PID_POOL = np.arange(4, 32768, 4)  # Windows pids are multiples of 4
+_PID_POOL = range(4, 32768, 4)  # Windows pids are multiples of 4
 
 
 def generate_process_list(label: Label, seed: int = 0,
@@ -156,6 +160,7 @@ def generate_process_list(label: Label, seed: int = 0,
     if profile.process_count.max > len(_PID_POOL):
         raise ValueError(f"process_count.max {profile.process_count.max} exceeds the "
                          f"{len(_PID_POOL)} distinct pids a generated listing can draw")
+    import numpy as np
     rng = np.random.default_rng(seed)
     (pc,), (uc,) = _draw_counts(rng, profile, 1)
 
@@ -177,7 +182,8 @@ def generate_process_list(label: Label, seed: int = 0,
         blank_share = 0.6
 
     entries = [ProcessEntry(pid=0, ppid=0, name="[System Process]")]
-    pids = rng.choice(_PID_POOL, size=pc, replace=False)
+    # the indices choice(_PID_POOL) would draw, from the same random stream
+    pids = [_PID_POOL[i] for i in rng.choice(len(_PID_POOL), size=pc, replace=False)]
     for i in range(pc):
         # every distinct owner appears at least once, the rest mix
         # random owners with blank rows per the class template
@@ -189,8 +195,8 @@ def generate_process_list(label: Label, seed: int = 0,
             owner = owners[int(rng.integers(uc))]
         svc = owner in _SERVICE_OWNERS
         entries.append(ProcessEntry(
-            pid=int(pids[i]),
-            ppid=int(pids[int(rng.integers(i))]) if i else 4,
+            pid=pids[i],
+            ppid=pids[int(rng.integers(i))] if i else 4,
             name=str(rng.choice(_NAME_POOL)),
             arch=ARCH_X64 if rng.random() < 0.85 else ARCH_X86,
             session=0 if svc else 1,

@@ -8,12 +8,14 @@ training is fully deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DatasetTooSmall, EmptyNode, ModelFormatError
 from .features import (FEATURE_NAMES, FeatureVector, Label, LabeledDataset, LabeledSample,
                        _number, _typed, _whole)
+
+if TYPE_CHECKING:  # only training computes with arrays; a tree predicts in plain Python
+    import numpy as np
 
 TREE_SCHEMA_VERSION = "dtree-v1"
 # Deeper documents are refused, and training stops there: growing, loading
@@ -28,9 +30,10 @@ class TreeConfig:
     min_samples_split: int = 2
 
     def __post_init__(self):
-        if self.max_depth is not None and self.max_depth < 1:
+        # exactly int: tree_to_dict writes these, and tree_from_dict reads back whole numbers only
+        if self.max_depth is not None and (type(self.max_depth) is not int or self.max_depth < 1):
             raise ValueError("max_depth must be None or an integer >= 1")
-        if self.min_samples_split < 2:
+        if type(self.min_samples_split) is not int or self.min_samples_split < 2:
             raise ValueError("min_samples_split must be >= 2")
 
 
@@ -50,6 +53,7 @@ def gini(counts: tuple[int, int]) -> float:
 
     The counts may be integer arrays, for one impurity per element.
     """
+    import numpy as np
     n0, n1 = counts
     n = n0 + n1
     if np.any(n == 0):
@@ -72,6 +76,7 @@ def _best_split_arrays(x: np.ndarray, y: np.ndarray):
     candidate strictly reduces weighted impurity.  Ties keep the first
     candidate in (feature asc, threshold asc) order.
     """
+    import numpy as np
     n = len(y)
     n1_total = int(y.sum())
     parent = gini((n - n1_total, n1_total))

@@ -14,12 +14,14 @@ from dataclasses import dataclass
 from enum import IntEnum
 from itertools import compress
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DatasetTooSmall, EmptyListing, MalformedDatasetFile
 # _checked_rows is private to the package: the one row reader, shared with parse_process_list
 from .proclist import ProcessList, _checked_rows
+
+if TYPE_CHECKING:  # NumPy loads where arrays are computed, so parsing and a tree need none
+    import numpy as np
 
 FEATURE_NAMES = ("process_count", "user_count", "ratio")
 
@@ -50,6 +52,7 @@ class FeatureVector:
         return cls(process_count, user_count, process_count / user_count)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
         return np.array([self.process_count, self.user_count, self.ratio], dtype=float)
 
     def to_dict(self) -> dict:
@@ -114,16 +117,18 @@ class LabeledDataset:
         return iter(self.samples)
 
     def feature_matrix(self) -> np.ndarray:
+        import numpy as np
         triples = [(s.features.process_count, s.features.user_count, s.features.ratio)
                    for s in self.samples]
         return np.array(triples, dtype=float).reshape(-1, len(FEATURE_NAMES))
 
     def label_array(self) -> np.ndarray:
+        import numpy as np
         return np.array([int(s.label) for s in self.samples])
 
     def class_counts(self) -> tuple[int, int]:
-        labels = self.label_array()
-        return int(np.sum(labels == 0)), int(np.sum(labels == 1))
+        sandbox = sum(s.label for s in self.samples)
+        return len(self.samples) - sandbox, sandbox
 
     def subset(self, label: Label) -> "LabeledDataset | None":
         kept = tuple(s for s in self.samples if s.label == label)
@@ -176,6 +181,7 @@ class ScalerParams:
 
         A degenerate feature (min == max) maps to 0.0 everywhere.
         """
+        import numpy as np
         mins = np.asarray(self.mins, dtype=float)
         spans = np.asarray(self.maxs, dtype=float) - mins
         safe_spans = np.where(spans > 0, spans, 1.0)
@@ -206,6 +212,7 @@ def split_dataset(data: LabeledDataset, train_fraction: float, seed: int,
     if n < 2:
         raise DatasetTooSmall("need at least two samples to split")
 
+    import numpy as np
     rng = np.random.default_rng(seed)
     groups = ([np.flatnonzero(data.label_array() == cls) for cls in (0, 1)] if stratified
               else [np.arange(n)])

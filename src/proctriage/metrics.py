@@ -9,8 +9,6 @@ comes first, as the positive class.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import LengthMismatch
 from .features import Label
 
@@ -78,6 +76,7 @@ def accuracy(cm) -> float:
 
 def regression_errors(probs, labels) -> tuple[float, float]:
     """(mean absolute error, mean squared error) of probabilities vs labels."""
+    import numpy as np
     p = np.asarray(list(probs), dtype=float)
     y = np.asarray([int(l) for l in labels], dtype=float)
     if p.shape != y.shape:

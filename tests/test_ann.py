@@ -99,6 +99,16 @@ def test_config_validation():
         AnnConfig(learning_rate=-0.1)
     with pytest.raises(ValueError):
         AnnConfig(epochs=0)
+    for rate in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            AnnConfig(learning_rate=rate)
+
+
+def test_a_network_with_no_hidden_layer_is_accepted():
+    config = AnnConfig(layer_sizes=(3, 1))
+    model = ann_from_dict(ann_to_dict(init_network(config)))
+    assert model.layer_sizes == (3, 1) and model.weights[0].shape == (3, 1)
+    assert 0.0 <= predict_ann(model, FeatureVector.from_counts(40, 4))[1] <= 1.0
 
 
 def test_bce_hand_value():
@@ -226,6 +236,18 @@ def test_predict_threshold_tie_is_sandbox():
     label, p = predict_ann(model, FeatureVector.from_counts(40, 4))
     assert p == 0.5
     assert label == Label.SANDBOX
+
+
+@pytest.mark.parametrize("threshold, label", [(0.0, Label.SANDBOX), (1.0, Label.TARGET)])
+def test_a_threshold_at_either_end_of_0_to_1_loads(threshold, label):
+    doc = ann_to_dict(init_network(AnnConfig(seed=0)))
+    doc["threshold"] = threshold
+    model = ann_from_dict(doc)
+    assert model.threshold == threshold
+    # the output sigmoid reads 0.5 here: at or above 0.0, below 1.0
+    model.weights[-1][:] = 0.0
+    model.biases[-1][:] = 0.0
+    assert predict_ann(model, FeatureVector.from_counts(40, 4)) == (label, 0.5)
 
 
 def test_predict_returns_probability():

@@ -87,6 +87,15 @@ def test_config_validation():
                      user_count=SAFE_PROFILE.user_count, correlation=1.5)
 
 
+@pytest.mark.parametrize("correlation", [-1.0, 1.0])
+def test_a_correlation_of_exactly_minus_1_or_1_is_accepted(correlation):
+    profile = ClassProfile(process_count=UNSAFE_PROFILE.process_count,
+                           user_count=UNSAFE_PROFILE.user_count, correlation=correlation)
+    assert profile.correlation == correlation
+    v = featurize(parse_process_list(generate_process_list(Label.SANDBOX, 3, profile)))
+    assert UNSAFE_PROFILE.process_count.min <= v.process_count <= UNSAFE_PROFILE.process_count.max
+
+
 def test_profiles_match_published_summary():
     assert (SAFE_PROFILE.process_count.min, SAFE_PROFILE.process_count.max) == (9, 305)
     assert (SAFE_PROFILE.process_count.mean, SAFE_PROFILE.process_count.std) == (89.2, 60.7)

@@ -275,6 +275,11 @@ def test_config_validation():
         TreeConfig(max_depth=0)
     with pytest.raises(ValueError):
         TreeConfig(min_samples_split=1)
+    # not exactly an int: tree_to_dict would write it, and tree_from_dict refuse that document
+    for field, value in [("max_depth", 1.5), ("max_depth", True), ("max_depth", 3.0),
+                         ("min_samples_split", 2.5), ("min_samples_split", 4.0)]:
+        with pytest.raises(ValueError):
+            TreeConfig(**{field: value})
 
 
 # -- export ------------------------------------------------------------------

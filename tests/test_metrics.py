@@ -93,6 +93,14 @@ def test_class_metrics_absent_class_all_zero():
     assert unsafe == {"precision": 0.0, "recall": 0.0, "f1": 0.0, "support": 0}
 
 
+def test_a_one_sample_matrix_is_scored():
+    per = class_metrics(((1, 0), (0, 0)))
+    assert per[Label.TARGET] == {"precision": 1.0, "recall": 1.0, "f1": 1.0, "support": 1}
+    macro, weighted = aggregate_metrics(per)
+    assert macro == {"precision": 0.5, "recall": 0.5, "f1": 0.5, "support": 1}
+    assert weighted == {"precision": 1.0, "recall": 1.0, "f1": 1.0, "support": 1}
+
+
 def test_f1_between_precision_and_recall():
     per = class_metrics(REPORT_CM)
     for m in per.values():

@@ -1060,6 +1060,28 @@ def test_concurrent_activations_leave_the_served_model_on_disk(tmp_path):
         assert Service(config).model_info()["model_id"] == served
 
 
+def test_every_crash_state_of_an_activation_starts_the_old_or_the_new_model(tmp_path):
+    # an activation writes and fsyncs model.json.tmp, then renames it over model.json:
+    # a crash before the rename leaves the old file beside any prefix of the new one
+    docs = [tree_to_dict(train_tree(generate_dataset(GenConfig(n_safe=30, n_unsafe=10, seed=s)),
+                                    TreeConfig(max_depth=1))) for s in (1, 2)]
+    ids, files = [], []
+    for i, doc in enumerate(docs):
+        service = Service(ServiceConfig(data_dir=tmp_path / str(i)))
+        ids.append(service.activate_model(doc)["model_id"])
+        files.append((service.data_dir / MODEL_FILENAME).read_bytes())
+    assert ids[0] != ids[1]
+    config = ServiceConfig(data_dir=tmp_path / "crash")
+    config.data_dir.mkdir()
+    (config.data_dir / MODEL_FILENAME).write_bytes(files[0])
+    tmp = config.data_dir / (MODEL_FILENAME + ".tmp")
+    for k in range(len(files[1]) + 1):
+        tmp.write_bytes(files[1][:k])
+        assert Service(config).model_info()["model_id"] == ids[0], k
+    os.replace(tmp, config.data_dir / MODEL_FILENAME)
+    assert Service(config).model_info()["model_id"] == ids[1]
+
+
 # -- durability ----------------------------------------------------------------------
 
 def test_records_survive_restart(tmp_path, sandbox_host_text):
