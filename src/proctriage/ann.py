@@ -24,7 +24,7 @@ BCE_EPS = 1e-7
 INIT_RANGE = 0.5  # initial weights and biases are uniform in +/- this
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnnConfig:
     layer_sizes: tuple[int, ...] = (3, 3, 3, 1)
     learning_rate: float = 0.1
@@ -32,14 +32,18 @@ class AnnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.layer_sizes) < 2 or self.layer_sizes[0] != 3 or self.layer_sizes[-1] != 1:
-            raise ValueError("layer_sizes must run from 3 inputs to 1 output")
+        # exactly int, as training and ann_to_dict use them: a bool, 1.5 or 3.0 is refused
+        if (len(self.layer_sizes) < 2 or self.layer_sizes[0] != 3 or self.layer_sizes[-1] != 1
+                or not all(type(n) is int and n >= 1 for n in self.layer_sizes)):
+            raise ValueError("layer_sizes must run from 3 inputs to 1 output, each an integer >= 1")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
         if not math.isfinite(self.learning_rate):
             raise ValueError("learning_rate must be finite")
-        if self.epochs < 1:
+        if type(self.epochs) is not int or self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError("seed must be an integer >= 0")
 
 
 @dataclass
@@ -220,6 +224,7 @@ def ann_from_dict(doc: dict) -> NeuralNetModel:
     import numpy as np
     try:
         sizes = tuple(map(_whole, _typed(doc["layer_sizes"], list)))
+        config = AnnConfig(layer_sizes=sizes, seed=_whole(doc.get("seed", 0)))
         layers = zip(_typed(doc["weights"], list, len(sizes) - 1),
                      _typed(doc["biases"], list, len(sizes) - 1), sizes[:-1], sizes[1:])
         weights, biases = [], []
@@ -237,11 +242,9 @@ def ann_from_dict(doc: dict) -> NeuralNetModel:
                                   maxs=tuple(map(_number, _typed(scaler["maxs"], list, 3))))
         model = NeuralNetModel(layer_sizes=sizes, weights=weights, biases=biases,
                                scaler=scaler, threshold=_number(doc.get("threshold", 0.5)),
-                               seed=_whole(doc.get("seed", 0)))
+                               seed=config.seed)
     except (KeyError, ValueError) as e:
         raise ModelFormatError(str(e)) from None
-    if sizes[0] != 3 or sizes[-1] != 1 or min(sizes) < 1:
-        raise ModelFormatError(f"layer sizes {list(sizes)} do not run from 3 inputs to 1 output")
     if not 0.0 <= model.threshold <= 1.0:
         raise ModelFormatError(f"threshold {model.threshold} is not a probability")
     return model

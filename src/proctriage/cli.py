@@ -218,7 +218,7 @@ def _listen_address(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     if not (port.isascii() and port.isdecimal()) or int(port) > 65535:
         raise argparse.ArgumentTypeError(f"port must be an integer from 0 to 65535: {text!r}")
-    return host or "127.0.0.1", int(port)
+    return host or ServiceConfig.host, int(port)
 
 
 def _cmd_serve(args) -> None:
@@ -258,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write stats as JSON instead of a table")
 
     p = add("datagen", _cmd_datagen, "generate a synthetic dataset")
-    p.add_argument("--n-safe", type=int, default=324)
-    p.add_argument("--n-unsafe", type=int, default=60)
+    p.add_argument("--n-safe", type=int, default=GenConfig.n_safe)
+    p.add_argument("--n-unsafe", type=int, default=GenConfig.n_unsafe)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", help="dataset CSV path (stdout otherwise)")
 
@@ -275,9 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["dtree", "ann"], default="dtree")
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--max-depth", type=int, default=None, help="dtree only")
-    p.add_argument("--epochs", type=int, default=500, help="ann only")
-    p.add_argument("--lr", type=float, default=0.1, help="ann only")
+    p.add_argument("--max-depth", type=int, default=TreeConfig.max_depth, help="dtree only")
+    p.add_argument("--epochs", type=int, default=AnnConfig.epochs, help="ann only")
+    p.add_argument("--lr", type=float, default=AnnConfig.learning_rate, help="ann only")
     p.add_argument("--out", required=True, help="model JSON path")
 
     p = add("evaluate", _cmd_evaluate, "score a model or raw prediction files")
@@ -302,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("serve", _cmd_serve, "run the collection/classification service")
     p.add_argument("model_file", nargs="?", help="model JSON to activate at start")
     p.add_argument("--data-dir", required=True)
-    p.add_argument("--listen", default="127.0.0.1:8750", type=_listen_address,
-                   help="HOST:PORT, port 0 for any")
+    p.add_argument("--listen", default=(ServiceConfig.host, ServiceConfig.port),
+                   type=_listen_address, help="HOST:PORT, port 0 for any")
     p.add_argument("--token", default=None, help="require this bearer token")
     p.add_argument("--strict", action="store_true", help="reject unparseable submissions")
 

@@ -85,6 +85,9 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # exactly int, as in TreeConfig and AnnConfig: a bool, 1.5 or 3.0 is refused
+        if any(type(n) is not int for n in (self.n_safe, self.n_unsafe, self.seed)):
+            raise ValueError("n_safe, n_unsafe and seed must be integers")
         if self.n_safe < 0 or self.n_unsafe < 0:
             raise ValueError("negative sample count")
         if self.n_safe + self.n_unsafe < 1:

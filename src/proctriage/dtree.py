@@ -24,7 +24,7 @@ TREE_SCHEMA_VERSION = "dtree-v1"
 MAX_TREE_DEPTH = 200
 
 
-@dataclass
+@dataclass(frozen=True)
 class TreeConfig:
     max_depth: int | None = None
     min_samples_split: int = 2
@@ -44,8 +44,6 @@ class DecisionTreeModel:
     # split's feature_index, threshold and left (<= threshold) and right records
     root: dict
     config: TreeConfig
-    n_samples: int = 0
-    class_counts: tuple[int, int] = (0, 0)
 
 
 def gini(counts: tuple[int, int]) -> float:
@@ -132,9 +130,8 @@ def train_tree(train: LabeledDataset, config: TreeConfig | None = None) -> Decis
     if not len(train):
         raise DatasetTooSmall("cannot train a tree on an empty dataset")
     config = config or TreeConfig()
-    root = _grow(train.feature_matrix(), train.label_array(), 0, config)
-    return DecisionTreeModel(root=root, config=config,
-                             n_samples=len(train), class_counts=tuple(root["class_counts"]))
+    return DecisionTreeModel(root=_grow(train.feature_matrix(), train.label_array(), 0, config),
+                             config=config)
 
 
 def _leaf(model: DecisionTreeModel, v: FeatureVector) -> dict:
@@ -244,15 +241,16 @@ def _node_from_dict(rec: dict, depth: int = 0) -> dict:
 def tree_to_dict(model: DecisionTreeModel) -> dict:
     """The dtree-v1 document; its root is the loader's checked copy, so a
     tree that ``tree_from_dict`` would refuse raises ModelFormatError."""
+    root = _node_from_dict(model.root)
     return {
         "version": TREE_SCHEMA_VERSION,
         "criterion": "gini",
         "config": {"max_depth": model.config.max_depth,
                    "min_samples_split": model.config.min_samples_split},
         "feature_names": list(FEATURE_NAMES),
-        "n_samples": model.n_samples,
-        "class_counts": list(model.class_counts),
-        "root": _node_from_dict(model.root),
+        "n_samples": root["n_samples"],
+        "class_counts": list(root["class_counts"]),
+        "root": root,
     }
 
 
@@ -270,11 +268,12 @@ def tree_from_dict(doc: dict) -> DecisionTreeModel:
         # export and model info name each split's feature from this list
         if doc.get("feature_names", list(FEATURE_NAMES)) != list(FEATURE_NAMES):
             raise ValueError(f"feature_names must be {list(FEATURE_NAMES)}")
-        return DecisionTreeModel(
-            root=_node_from_dict(doc["root"]),
-            config=config,
-            n_samples=_whole(doc.get("n_samples", 0)),
-            class_counts=tuple(map(_whole, _typed(doc.get("class_counts", [0, 0]), list, 2))),
-        )
+        root = _node_from_dict(doc["root"])
+        # the top-level totals may be left out; given, they are the root's
+        totals = [_whole(doc.get("n_samples", root["n_samples"])),
+                  list(map(_whole, _typed(doc.get("class_counts", root["class_counts"]), list, 2)))]
+        if totals != [root["n_samples"], root["class_counts"]]:
+            raise ValueError(f"top-level totals {totals} contradict the root's")
+        return DecisionTreeModel(root=root, config=config)
     except (KeyError, ValueError) as e:
         raise ModelFormatError(str(e)) from None

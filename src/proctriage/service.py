@@ -89,7 +89,7 @@ def load_model(doc) -> Model:
     version = doc.get("version") if isinstance(doc, dict) else None
     if version == TREE_SCHEMA_VERSION:
         kind, model = "dtree", tree_from_dict(doc)
-        info = {"feature_names": list(FEATURE_NAMES), "n_samples": model.n_samples}
+        info = {"feature_names": list(FEATURE_NAMES), "n_samples": model.root["n_samples"]}
         predict = lambda v: (predict_tree(model, v), predict_proba(model, v))  # noqa: E731
     elif version == ANN_SCHEMA_VERSION:
         kind, model = "ann", ann_from_dict(doc)

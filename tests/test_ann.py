@@ -102,6 +102,16 @@ def test_config_validation():
     for rate in (math.inf, math.nan):
         with pytest.raises(ValueError):
             AnnConfig(learning_rate=rate)
+    # exactly an int, as TreeConfig's fields: training would fail with TypeError, or
+    # write a document that ann_from_dict refuses
+    for field, value in [("epochs", 1.5), ("epochs", True), ("epochs", 3.0),
+                         ("layer_sizes", (3, 2.0, 1)), ("layer_sizes", (3, 1.5, 1)),
+                         ("layer_sizes", (3, True, 1)), ("layer_sizes", (3, 0, 1)),
+                         ("seed", 1.5), ("seed", True), ("seed", 3.0), ("seed", -1)]:
+        with pytest.raises(ValueError):
+            AnnConfig(**{field: value})
+    with pytest.raises(AttributeError):  # frozen: no assignment gets past the checks
+        AnnConfig().epochs = 1.5
 
 
 def test_a_network_with_no_hidden_layer_is_accepted():

@@ -155,8 +155,8 @@ def test_train_perfectly_separable():
     model = train_tree(data)
     for s in data:
         assert predict_tree(model, s.features) == s.label
-    assert model.n_samples == 6
-    assert model.class_counts == (3, 3)
+    assert model.root["n_samples"] == 6
+    assert model.root["class_counts"] == [3, 3]
 
 
 def test_predict_proba_is_leaf_fraction():
@@ -280,6 +280,8 @@ def test_config_validation():
                          ("min_samples_split", 2.5), ("min_samples_split", 4.0)]:
         with pytest.raises(ValueError):
             TreeConfig(**{field: value})
+    with pytest.raises(AttributeError):  # frozen: no assignment gets past the checks
+        TreeConfig().max_depth = 1.5
 
 
 # -- export ------------------------------------------------------------------

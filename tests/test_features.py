@@ -267,6 +267,8 @@ def test_csv_cells_are_checked_in_order_with_their_own_messages():
         ("x,1,1.0,7,", "invalid literal for int() with base 10: 'x'"),
         ("4,1,four,7,", "could not convert string to float: 'four'"),
         ("4,1,4.0,7,", "label must be 0 or 1, got 7"),
+        ("0,1,0.0,0,", "counts must be >= 1"),
+        ("-2,-4,0.5,0,", "counts must be >= 1"),
         ("4,5,0.8,0,", "user_count exceeds process_count"),
         ("4,1,9.0,0,", "ratio is not process_count / user_count"),
         ("1" + "0" * 400 + ",1,1.0,0,", "integer division result too large for a float"),

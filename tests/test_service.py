@@ -59,14 +59,17 @@ GARBAGE = "complete nonsense, no header at all\n"
 INF = float("inf")  # what a JSON number such as 1e999 parses to
 
 
-def _toy_tree_doc():
+def _toy_data():
     rows = [
         (200, 1, Label.TARGET), (150, 1, Label.TARGET), (90, 2, Label.TARGET),
         (30, 3, Label.SANDBOX), (25, 2, Label.SANDBOX), (40, 4, Label.SANDBOX),
     ]
-    data = LabeledDataset(tuple(
+    return LabeledDataset(tuple(
         LabeledSample(FeatureVector.from_counts(pc, uc), lab) for pc, uc, lab in rows))
-    return tree_to_dict(train_tree(data, TreeConfig(max_depth=3)))
+
+
+def _toy_tree_doc():
+    return tree_to_dict(train_tree(_toy_data(), TreeConfig(max_depth=3)))
 
 
 def _toy_ann_doc():
@@ -895,6 +898,11 @@ BAD_MODELS = {
         _toy_tree_doc, lambda d: _leftmost_leaf(d["root"]).update(class_counts="12")),
     "tree-n-samples-string": lambda: _edited(_toy_tree_doc, lambda d: d.update(n_samples="12")),
     "tree-n-samples-12.5": lambda: _edited(_toy_tree_doc, lambda d: d.update(n_samples=12.5)),
+    # the top-level totals may be left out; given, they are the root's
+    "tree-n-samples-contradicts-root":
+        lambda: _edited(_toy_tree_doc, lambda d: d.update(n_samples=7)),
+    "tree-class-counts-contradict-root":
+        lambda: _edited(_toy_tree_doc, lambda d: d.update(class_counts=[3, 4])),
     "tree-node-n-samples-true":
         lambda: _edited(_toy_tree_doc, lambda d: d["root"].update(n_samples=True)),
     "tree-impurity-string":
@@ -912,6 +920,11 @@ BAD_MODELS = {
     "ann-seed-string": lambda: _edited(_toy_ann_doc, lambda d: d.update(seed="7")),
     "ann-threshold-string": lambda: _edited(_toy_ann_doc, lambda d: d.update(threshold="0.5")),
     "ann-threshold-true": lambda: _edited(_toy_ann_doc, lambda d: d.update(threshold=True)),
+    "ann-threshold-1.5": lambda: _edited(_toy_ann_doc, lambda d: d.update(threshold=1.5)),
+    "ann-seed-negative": lambda: _edited(_toy_ann_doc, lambda d: d.update(seed=-1)),
+    "ann-hidden-layer-of-0": lambda: _edited(_toy_ann_doc, lambda d: d.update(
+        layer_sizes=[3, 0, 1], weights=[{"shape": [3, 0], "data": []},
+                                        {"shape": [0, 1], "data": []}], biases=[[], [0.0]])),
     "ann-extra-weight": lambda: _edited(_toy_ann_doc, lambda d: d["weights"].append("junk")),
     "integer-of-5000-digits": lambda: _edited(
         _toy_tree_doc, lambda d: d.update(n_samples=INF)).replace("1e999", "1" * 5000),
@@ -947,6 +960,45 @@ def test_ann_model_info(live):
     assert info["kind"] == "ann"
     assert info["layer_sizes"] == [3, 3, 3, 1]
     assert info["model_id"]
+
+
+def test_a_tree_without_top_level_totals_reports_its_roots(live):
+    base, _ = live
+    doc = _toy_tree_doc()
+    del doc["n_samples"], doc["class_counts"]
+    status, info = _request(base, "POST", "/v1/model", json.dumps(doc),
+                            content_type="application/json")
+    assert status == 200 and info["n_samples"] == doc["root"]["n_samples"] == 6
+    assert _request(base, "GET", "/v1/model") == (200, info)
+
+
+# integers near the configs' bounds, and values of other types that they refuse; at most
+# two hidden layers of a few units and a few epochs keep the test well under a second
+_CONFIG_INTS = st.integers(-1, 4) | st.sampled_from([True, False, 1.5, 3.0, None])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.just(TreeConfig), st.fixed_dictionaries({
+    "max_depth": _CONFIG_INTS | st.integers(min_value=1),
+    "min_samples_split": _CONFIG_INTS | st.integers(min_value=2),
+})) | st.tuples(st.just(AnnConfig), st.fixed_dictionaries({
+    "layer_sizes": st.lists(_CONFIG_INTS, max_size=2).map(lambda hidden: (3, *hidden, 1)),
+    "learning_rate": st.floats(),
+    "epochs": _CONFIG_INTS,
+    "seed": _CONFIG_INTS | st.integers(min_value=0),
+})))
+def test_every_config_its_constructor_accepts_trains_a_model_that_loads(make):
+    kind, fields = make
+    try:
+        config = kind(**fields)
+    except ValueError:
+        return
+    if kind is TreeConfig:
+        model = load_model(tree_to_dict(train_tree(_toy_data(), config))).model
+        assert model.config == config
+    else:
+        model = load_model(ann_to_dict(train_ann(_toy_data(), config)[0])).model
+        assert (model.layer_sizes, model.seed) == (config.layer_sizes, config.seed)
 
 
 # each mutation deletes one field of a document, sets it to one of these, or flips its type
