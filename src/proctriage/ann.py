@@ -49,8 +49,10 @@ class AnnConfig:
 @dataclass
 class NeuralNetModel:
     layer_sizes: tuple[int, ...]
-    weights: list[np.ndarray]          # per layer, shape (fan_in, fan_out)
-    biases: list[np.ndarray]           # per layer, shape (fan_out,)
+    # per layer, arrays of shape (fan_in, fan_out) and (fan_out,); a served network
+    # holds them as lists of floats in the same shape (see ann_from_dict)
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
     scaler: ScalerParams | None = None
     threshold: float = 0.5
     seed: int = 0
@@ -97,11 +99,45 @@ def _forward_batch(model: NeuralNetModel, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
+def _plain(param) -> list:
+    """A weight matrix or bias vector as (nested) lists of floats, however it is held."""
+    return param.tolist() if hasattr(param, "tolist") else param
+
+
+def _unit(inputs: list[float], weights, bias: float) -> float:
+    """One unit's input: the products of ``inputs`` and ``weights`` summed left to
+    right, plus ``bias``.
+
+    Where that float sum is not finite (a product past the float range, or
+    inf + -inf), the exactly rounded sum is returned instead, and +/-inf past
+    the float range, so no NaN comes of finite inputs.
+    """
+    z = 0.0
+    for a, w in zip(inputs, weights):
+        z += a * w
+    z += bias
+    if math.isfinite(z) or not all(map(math.isfinite, inputs)):
+        return z
+    from fractions import Fraction
+    exact = sum((Fraction(a) * Fraction(w) for a, w in zip(inputs, weights)), Fraction(bias))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
 def forward(model: NeuralNetModel, scaled_input) -> float:
-    """Probability of the sandbox class for one already-scaled triple."""
-    import numpy as np
-    a = np.asarray(scaled_input, dtype=float).reshape(1, -1)
-    return float(_forward_batch(model, a)[-1][0, 0])
+    """Probability of the sandbox class for one already-scaled triple.
+
+    One row runs in plain floats, without NumPy: each unit is :func:`_unit`,
+    then :func:`sigmoid`'s formula through ``math.exp``.  Parameters held as
+    arrays or as lists give the same bits.
+    """
+    acts = [float(a) for a in scaled_input]
+    for w, b in zip(model.weights, model.biases):
+        zs = [_unit(acts, col, bias) for col, bias in zip(zip(*_plain(w)), _plain(b))]
+        acts = [math.exp(min(z, 0.0)) / (1.0 + math.exp(-abs(z))) for z in zs]
+    return acts[0]
 
 
 def bce_loss(probs, labels) -> float:
@@ -158,10 +194,10 @@ def train_ann(train: LabeledDataset, config: AnnConfig | None = None
     return model, history
 
 
-def _scaled(model: NeuralNetModel, v: FeatureVector) -> np.ndarray:
+def _scaled(model: NeuralNetModel, v: FeatureVector) -> list[float]:
     """``v`` as the network's input: min-max scaled (with clamping) if the model has a scaler."""
-    x = v.as_array()
-    return x if model.scaler is None else model.scaler.transform(x)
+    x = [float(v.process_count), float(v.user_count), v.ratio]
+    return x if model.scaler is None else model.scaler.transform_row(x)
 
 
 def predict_ann(model: NeuralNetModel, v: FeatureVector) -> tuple[Label, float]:
@@ -180,7 +216,7 @@ def gradient_check(model: NeuralNetModel, sample: LabeledSample, step: float = 1
     analytic and numeric gradients are both ~0 contribute no error.
     """
     import numpy as np
-    x = _scaled(model, sample.features).reshape(1, -1)
+    x = np.array([_scaled(model, sample.features)])
     y = np.array([[float(sample.label)]])
 
     analytic = _gradients(model, _forward_batch(model, x), y)
@@ -208,9 +244,9 @@ def ann_to_dict(model: NeuralNetModel) -> dict:
     return {
         "version": ANN_SCHEMA_VERSION,
         "layer_sizes": list(model.layer_sizes),
-        "weights": [{"shape": list(w.shape), "data": w.ravel().tolist()}
-                    for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
+        "weights": [{"shape": [len(w), len(w[0])], "data": [v for row in w for v in row]}
+                    for w in map(_plain, model.weights)],
+        "biases": [_plain(b) for b in model.biases],
         "scaler": None if model.scaler is None else
                   {"mins": list(model.scaler.mins), "maxs": list(model.scaler.maxs)},
         "threshold": model.threshold,
@@ -218,10 +254,11 @@ def ann_to_dict(model: NeuralNetModel) -> dict:
     }
 
 
-def ann_from_dict(doc: dict) -> NeuralNetModel:
+def ann_from_dict(doc: dict, arrays: bool = True) -> NeuralNetModel:
+    """The checked network of an ann-v1 document.  Without ``arrays`` its weights
+    and biases stay lists of floats, and NumPy is not loaded."""
     if not isinstance(doc, dict) or doc.get("version") != ANN_SCHEMA_VERSION:
         raise ModelFormatError(f"not an {ANN_SCHEMA_VERSION} document")
-    import numpy as np
     try:
         sizes = tuple(map(_whole, _typed(doc["layer_sizes"], list)))
         config = AnnConfig(layer_sizes=sizes, seed=_whole(doc.get("seed", 0)))
@@ -232,9 +269,9 @@ def ann_from_dict(doc: dict) -> NeuralNetModel:
             rec = _typed(rec, dict)
             if list(map(_whole, _typed(rec["shape"], list))) != [fan_in, fan_out]:
                 raise ModelFormatError(f"weight shape {rec['shape']} does not match layers")
-            weights.append(np.array([_number(v) for v in _typed(rec["data"], list)])
-                           .reshape(fan_in, fan_out))
-            biases.append(np.array([_number(v) for v in _typed(bias, list, fan_out)]))
+            data = [_number(v) for v in _typed(rec["data"], list, fan_in * fan_out)]
+            weights.append([data[i:i + fan_out] for i in range(0, len(data), fan_out)])
+            biases.append([_number(v) for v in _typed(bias, list, fan_out)])
         scaler = doc.get("scaler")
         if scaler is not None:
             scaler = _typed(scaler, dict)
@@ -247,4 +284,8 @@ def ann_from_dict(doc: dict) -> NeuralNetModel:
         raise ModelFormatError(str(e)) from None
     if not 0.0 <= model.threshold <= 1.0:
         raise ModelFormatError(f"threshold {model.threshold} is not a probability")
+    if arrays:
+        import numpy as np
+        model.weights = [np.array(w) for w in weights]
+        model.biases = [np.array(b) for b in biases]
     return model

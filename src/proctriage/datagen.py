@@ -92,6 +92,8 @@ class GenConfig:
             raise ValueError("negative sample count")
         if self.n_safe + self.n_unsafe < 1:
             raise ValueError("nothing to generate")
+        if self.seed < 0:  # NumPy's generator refuses it, with its own message
+            raise ValueError("seed must be an integer >= 0")
 
 
 def _draw_counts(rng: np.random.Generator, profile: ClassProfile,

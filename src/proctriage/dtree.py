@@ -221,9 +221,9 @@ def _node_from_dict(rec: dict, depth: int = 0) -> dict:
                 "class_counts": list(map(_whole, _typed(rec["class_counts"], list, 2))),
                 "impurity": _number(rec["impurity"])}
         counts = node["class_counts"]
-        # predict_proba divides by a leaf's count total
-        if min(counts) < 0 or sum(counts) == 0:
-            raise ValueError(f"class counts {counts}")
+        # predict_proba divides by a leaf's count total, and GET /v1/model reports the root's
+        if min(counts) < 0 or sum(counts) == 0 or sum(counts) != node["n_samples"]:
+            raise ValueError(f"class counts {counts} under n_samples {node['n_samples']}")
         if "label" in rec:
             node["label"] = int(Label(_whole(rec["label"])))
         else:

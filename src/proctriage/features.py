@@ -189,6 +189,15 @@ class ScalerParams:
         scaled = np.where(spans > 0, scaled, 0.0)
         return np.clip(scaled, 0.0, 1.0)
 
+    def transform_row(self, x) -> list[float]:
+        """One row by :meth:`transform`'s rules, bit for bit, in plain floats."""
+        out = []
+        for value, lo, hi in zip(x, map(float, self.mins), map(float, self.maxs)):
+            span = hi - lo
+            scaled = (value - lo) / span if span > 0 else 0.0
+            out.append(min(max(scaled, 0.0), 1.0))  # as np.clip: -0.0 and NaN pass through
+        return out
+
 
 def fit_scaler(train: LabeledDataset) -> ScalerParams:
     """Fit min-max parameters on the training set only."""

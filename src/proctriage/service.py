@@ -92,7 +92,7 @@ def load_model(doc) -> Model:
         info = {"feature_names": list(FEATURE_NAMES), "n_samples": model.root["n_samples"]}
         predict = lambda v: (predict_tree(model, v), predict_proba(model, v))  # noqa: E731
     elif version == ANN_SCHEMA_VERSION:
-        kind, model = "ann", ann_from_dict(doc)
+        kind, model = "ann", ann_from_dict(doc, arrays=False)  # plain floats: no NumPy served
         info = {"layer_sizes": list(model.layer_sizes)}
         predict = lambda v: predict_ann(model, v)  # noqa: E731
     else:

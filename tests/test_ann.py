@@ -2,14 +2,18 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proctriage.ann import (
     BCE_EPS,
     AnnConfig,
     NeuralNetModel,
+    _forward_batch,
     ann_from_dict,
     ann_to_dict,
     bce_loss,
@@ -265,6 +269,72 @@ def test_predict_returns_probability():
     label, p = predict_ann(model, FeatureVector.from_counts(40, 4))
     assert 0.0 <= p <= 1.0
     assert label in (Label.TARGET, Label.SANDBOX)
+
+
+@st.composite
+def _networks(draw, values):
+    """A network of up to three hidden layers of 1-6 units, its weights and biases
+    drawn from ``values``, held as arrays."""
+    sizes = (3, *draw(st.lists(st.integers(1, 6), max_size=3)), 1)
+    weights = [np.array(draw(st.lists(st.lists(values, min_size=fan_out, max_size=fan_out),
+                                      min_size=fan_in, max_size=fan_in)))
+               for fan_in, fan_out in zip(sizes, sizes[1:])]
+    biases = [np.array(draw(st.lists(values, min_size=n, max_size=n))) for n in sizes[1:]]
+    return NeuralNetModel(layer_sizes=sizes, weights=weights, biases=biases)
+
+
+def _ulps(a: float, b: float) -> int:
+    """How many doubles lie between two non-negative floats."""
+    return abs(struct.unpack("<q", struct.pack("<d", a))[0]
+               - struct.unpack("<q", struct.pack("<d", b))[0])
+
+
+# Each unit's sum rounds apart from BLAS's, math.exp differs from NumPy's exp in the
+# last bit, and a hidden layer passes its inputs' error on times up to 0.25 * 20 per
+# input.  A sweep of 100,000 random networks of these shapes found 366 ulps at most.
+FORWARD_ULPS = 2**16
+
+
+@settings(max_examples=200, deadline=None)
+@given(_networks(st.floats(-20.0, 20.0)), st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+def test_one_row_forward_is_within_ulps_of_the_batch_pass(model, x):
+    want = float(_forward_batch(model, np.array([x]))[-1][0, 0])
+    assert _ulps(forward(model, x), want) <= FORWARD_ULPS
+
+
+_ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_networks(st.sampled_from([1e308, -1e308]) | _ANY_FINITE),
+       st.none() | st.builds(ScalerParams, *[st.tuples(_ANY_FINITE, _ANY_FINITE, _ANY_FINITE)] * 2),
+       st.integers(1, 2**24).flatmap(lambda pc: st.tuples(st.just(pc), st.integers(1, pc))))
+def test_list_held_and_array_held_parameters_predict_the_same_bits(model, scaler, counts):
+    model.scaler = scaler
+    doc = ann_to_dict(model)
+    listed = ann_from_dict(doc, arrays=False)
+    assert type(listed.weights[0]) is list and type(listed.biases[0]) is list
+    assert ann_to_dict(listed) == doc
+    v = FeatureVector.from_counts(*counts)
+    label, p = predict_ann(model, v)
+    assert predict_ann(listed, v) == (label, p)
+    assert struct.pack("<d", predict_ann(listed, v)[1]) == struct.pack("<d", p)
+    assert 0.0 <= p <= 1.0  # finite, even where a unit's float sum is not
+
+
+def test_a_sum_of_infinities_of_both_signs_reads_as_its_exact_sign():
+    model = init_network(AnnConfig(layer_sizes=(3, 1)))
+    v = FeatureVector.from_counts(40, 10)
+    # 40 * 2**1020 + 10 * w is inf + -inf in floats; exactly, it is (2**1022 + w) * 10
+    for w, bias, want in [(-2.0**1022, 0.0, (Label.SANDBOX, 0.5)),
+                          (-2.0**1022, -1.0, (Label.TARGET, math.exp(-1) / (1 + math.exp(-1)))),
+                          (-2.0**1021, 0.0, (Label.SANDBOX, 1.0)),  # past the float range
+                          (-2.0**1023, 0.0, (Label.TARGET, 0.0))]:
+        model.weights[0][:, 0] = [2.0**1020, w, 0.0]
+        model.biases[0][:] = bias
+        assert predict_ann(model, v) == want
+    # an input that is not finite has no exact sum: NaN stays NaN, as in the batch pass
+    assert math.isnan(forward(model, [math.nan, 1.0, 1.0]))
 
 
 # -- gradient check ----------------------------------------------------------------

@@ -228,13 +228,14 @@ def test_a_count_too_big_for_its_ratio_is_a_malformed_line(capsys, tmp_path, com
 @pytest.mark.parametrize("argv, message", [
     ("datagen --n-safe -1", "negative sample count"),
     ("datagen --n-safe 0 --n-unsafe 0", "nothing to generate"),
+    ("datagen --seed -1", "seed must be an integer >= 0"),
     ("split --in {data} --train-fraction 1.5", "train_fraction must be in (0, 1)"),
     ("train --in {data} --max-depth 0 --out {out}", "max_depth must be None or an integer >= 1"),
     ("train --in {data} --model ann --epochs 0 --out {out}", "epochs must be >= 1"),
     ("train --in {data} --model ann --lr -1 --out {out}", "learning_rate must be >= 0"),
     ("train --in {data} --model ann --lr nan --out {out}", "learning_rate must be finite"),
     ("train --in {data} --model ann --lr inf --out {out}", "learning_rate must be finite"),
-], ids=["n-safe", "no-samples", "train-fraction", "max-depth", "epochs", "lr", "lr-nan",
+], ids=["n-safe", "no-samples", "seed", "train-fraction", "max-depth", "epochs", "lr", "lr-nan",
         "lr-inf"])
 def test_out_of_range_option_is_usage_error(capsys, dataset_csv, tmp_path, argv, message):
     out_path = tmp_path / "model.json"

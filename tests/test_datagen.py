@@ -78,6 +78,8 @@ def test_config_validation():
         GenConfig(n_safe=-1)
     with pytest.raises(ValueError):
         GenConfig(n_safe=0, n_unsafe=0)
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        GenConfig(seed=-1)
     # exactly an int, as in TreeConfig and AnnConfig: a bool, 1.5 or 3.0 is refused
     for field in ("n_safe", "n_unsafe", "seed"):
         for value in (1.5, True, 3.0):

@@ -145,6 +145,19 @@ def test_scaler_output_always_in_unit_cube(pcs, ucs, probe_pc, probe_uc):
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_TRIPLE = st.tuples(_FINITE, _FINITE, _FINITE)
+
+
+@settings(max_examples=300)
+@given(mins=_TRIPLE, maxs=_TRIPLE, row=_TRIPLE)
+def test_one_row_scales_as_transform_does_bit_for_bit(mins, maxs, row):
+    params = ScalerParams(mins=mins, maxs=maxs)
+    with np.errstate(all="ignore"):  # a span or an offset past the float range is inf
+        want = params.transform(np.array(row))
+    assert np.array(params.transform_row(row)).tobytes() == want.tobytes()
+
+
 def test_fit_scaler_empty_raises():
     with pytest.raises(DatasetTooSmall):
         fit_scaler(LabeledDataset(()))

@@ -21,7 +21,7 @@ import uuid
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proctriage.ann import AnnConfig, ann_to_dict, init_network, train_ann
@@ -903,6 +903,8 @@ BAD_MODELS = {
         lambda: _edited(_toy_tree_doc, lambda d: d.update(n_samples=7)),
     "tree-class-counts-contradict-root":
         lambda: _edited(_toy_tree_doc, lambda d: d.update(class_counts=[3, 4])),
+    "tree-leaf-n-samples-not-its-class-counts":
+        lambda: _edited(_toy_tree_doc, lambda d: _leftmost_leaf(d["root"]).update(n_samples=7)),
     "tree-node-n-samples-true":
         lambda: _edited(_toy_tree_doc, lambda d: d["root"].update(n_samples=True)),
     "tree-impurity-string":
@@ -999,6 +1001,56 @@ def test_every_config_its_constructor_accepts_trains_a_model_that_loads(make):
     else:
         model = load_model(ann_to_dict(train_ann(_toy_data(), config)[0])).model
         assert (model.layer_sizes, model.seed) == (config.layer_sizes, config.seed)
+
+
+_EXTREME = st.sampled_from([1e308, -1e308]) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _extreme_ann_docs(draw):
+    """The toy network with each weight and bias ±1e308 or any finite float, and no
+    scaler or one of any finite bounds."""
+    doc = _toy_ann_doc()
+    for w in doc["weights"]:
+        w["data"] = draw(st.lists(_EXTREME, min_size=len(w["data"]), max_size=len(w["data"])))
+    doc["biases"] = [draw(st.lists(_EXTREME, min_size=len(b), max_size=len(b)))
+                     for b in doc["biases"]]
+    bounds = st.lists(_EXTREME, min_size=3, max_size=3)
+    doc["scaler"] = draw(st.none() | st.fixed_dictionaries({"mins": bounds, "maxs": bounds}))
+    return doc
+
+
+def test_an_extreme_network_scores_from_0_to_1_and_its_records_survive_a_restart(
+        tmp_path, sandbox_host_text):
+    dirs = iter(range(10**6))
+    # with no scaler, the first unit reads 40 * 1e308 + 4 * -1e308 + ...: inf + -inf
+    issue = _toy_ann_doc()
+    issue["scaler"] = None
+    first = issue["weights"][0]["data"]  # row-major (3, 3): the first unit's are 0, 3 and 6
+    first[0], first[3] = 1e308, -1e308
+
+    @settings(max_examples=60, deadline=None)
+    @example(doc=issue, counts=(40, 4))
+    @given(doc=_extreme_ann_docs(),  # counts up to one row per byte of the largest body
+           counts=st.integers(1, MAX_BODY_BYTES).flatmap(
+               lambda pc: st.tuples(st.just(pc), st.integers(1, pc))))
+    def check(doc, counts):
+        data_dir = tmp_path / str(next(dirs))
+        service = Service(ServiceConfig(data_dir=data_dir))
+        service.activate_model(doc)
+        features = FeatureVector.from_counts(*counts)
+        predicted = load_model(doc).predict(features)
+        assert 0.0 <= predicted[1] <= 1.0
+        # stored as a submission scored by this model is, and one submitted
+        scored = SampleRecord(id=uuid.uuid4().hex, received_at=time.time(), raw_text="-",
+                              features=features, predicted=predicted)
+        service.store.append(scored)
+        submitted = service.submit(sandbox_host_text)
+        assert 0.0 <= submitted.predicted[1] <= 1.0
+        again = Service(ServiceConfig(data_dir=data_dir))
+        assert [again.store.get(r.id) for r in (scored, submitted)] == [scored, submitted]
+
+    check()
 
 
 # each mutation deletes one field of a document, sets it to one of these, or flips its type
