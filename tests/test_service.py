@@ -1024,13 +1024,13 @@ def test_an_extreme_network_scores_from_0_to_1_and_its_records_survive_a_restart
         tmp_path, sandbox_host_text):
     dirs = iter(range(10**6))
     # with no scaler, the first unit reads 40 * 1e308 + 4 * -1e308 + ...: inf + -inf
-    issue = _toy_ann_doc()
-    issue["scaler"] = None
-    first = issue["weights"][0]["data"]  # row-major (3, 3): the first unit's are 0, 3 and 6
+    opposed = _toy_ann_doc()
+    opposed["scaler"] = None
+    first = opposed["weights"][0]["data"]  # row-major (3, 3): the first unit's are 0, 3 and 6
     first[0], first[3] = 1e308, -1e308
 
     @settings(max_examples=60, deadline=None)
-    @example(doc=issue, counts=(40, 4))
+    @example(doc=opposed, counts=(40, 4))
     @given(doc=_extreme_ann_docs(),  # counts up to one row per byte of the largest body
            counts=st.integers(1, MAX_BODY_BYTES).flatmap(
                lambda pc: st.tuples(st.just(pc), st.integers(1, pc))))
