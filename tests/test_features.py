@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proctriage.errors import DatasetTooSmall, EmptyListing, MalformedDatasetFile
@@ -151,6 +151,9 @@ _TRIPLE = st.tuples(_FINITE, _FINITE, _FINITE)
 
 @settings(max_examples=300)
 @given(mins=_TRIPLE, maxs=_TRIPLE, row=_TRIPLE)
+# (1 - 1.0000000000000002) / 1e308 underflows to -0.0; (1e308 + 1e308) / inf is NaN
+@example(mins=(1.0000000000000002, -1e308, 0.0), maxs=(1e308, 1e308, 1.0),
+         row=(1.0, 1e308, 0.5))
 def test_one_row_scales_as_transform_does_bit_for_bit(mins, maxs, row):
     params = ScalerParams(mins=mins, maxs=maxs)
     with np.errstate(all="ignore"):  # a span or an offset past the float range is inf
